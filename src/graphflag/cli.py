@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import GraphParseError, SizeLimitError
 from .flagvectors import (
+    MAX_TOTAL_N,
     basis_graph,
     complement_transform,
     concise_flag_vector,
@@ -216,6 +217,8 @@ def _cmd_average(args):
     n = args.n
     if n < 0:
         raise UsageError("--n must be nonnegative")
+    if n > MAX_TOTAL_N:
+        raise SizeLimitError(f"average supports n <= {MAX_TOTAL_N}, got n={n}")
     count = 2 ** math.comb(n, 2)
     if args.word is not None:
         total = total_word_coefficient(n, args.word)
@@ -245,6 +248,8 @@ def _cmd_average(args):
 
 
 def _cmd_enumerate(args):
+    if args.n < 0:
+        raise UsageError("--n must be nonnegative")
     classes = enumerate_graphs(args.n)
     lines = [g.serialize() for g in classes]
     return lines, {"n": args.n, "class_count": len(classes), "classes": lines}

@@ -1,10 +1,14 @@
 """The flag vector of a graph in verbose, concise and subgraph forms.
 
-Also the linear maps connecting the forms, the complement transform, the
+The verbose form comes from one recursion over labelled vertex subsets,
+f(S) = sum over v in S of w_S(v) f(S - v), with optional edges folded into
+the step weight, so no canonical form is searched.  The concise and subgraph
+forms are its images under the linear maps below (anchor-word inversion,
+coordinatewise rescaling); above MAX_VERBOSE_N vertices the concise form is
+summed over spanning subgraphs instead.  Also the complement transform, the
 total over all labelled graphs, basis sums for partitions, anchor words and
 the edge-removal word vector.  All inputs may be ordinary graphs,
-optional-edge graphs (expanded first) or formal graph sums (extended
-linearly).
+optional-edge graphs or formal graph sums (extended linearly).
 """
 
 from __future__ import annotations
@@ -20,16 +24,11 @@ from .graphs import (
     GraphSum,
     OptionalGraph,
     bit_indices,
-    canonical_form,
+    connected_partition,
     expand,
 )
 from .partitions import Partition, enumerate_partitions, multinomial
-from .shellings import (
-    acyclic_shelling_number,
-    enumerate_shellings,
-    tree_shelling_number,
-    verbose_contribution,
-)
+from .shellings import enumerate_shellings, tree_shelling_number, verbose_contribution
 from .vectors import ConciseVector, EdgeWordVector, VerboseVector
 
 MAX_VERBOSE_N = 8
@@ -42,13 +41,14 @@ MAX_EDGE_FLAG_EDGES = 7
 GraphLike = Graph | OptionalGraph | GraphSum
 
 
-def _as_sum(g: GraphLike) -> GraphSum:
+def _terms(g: GraphLike) -> list[tuple[OptionalGraph, int]]:
+    """The input as signed labelled terms; a GraphSum's keys are used as stored."""
     if isinstance(g, GraphSum):
-        return g
+        return [(OptionalGraph.from_graph(t), c) for t, c in g.items()]
     if isinstance(g, OptionalGraph):
-        return expand(g)
+        return [(g, 1)]
     if isinstance(g, Graph):
-        return GraphSum.from_graph(g)
+        return [(OptionalGraph.from_graph(g), 1)]
     raise TypeError(f"expected Graph, OptionalGraph or GraphSum, got {g!r}")
 
 
@@ -59,173 +59,162 @@ def component_scale(size: int) -> int:
     return 1 if size == 1 else 2 if size == 2 else 4
 
 
+def _part_scale(part: Partition) -> int:
+    return math.prod(component_scale(m) for m in part.parts)
+
+
 # ---------------------------------------------------------------------------
 # verbose form
 
-_VERBOSE_CACHE: dict[Graph, VerboseVector] = {}
+@lru_cache(maxsize=MAX_VERBOSE_N + 1)
+def _words(n: int) -> tuple[str, ...]:
+    # word w has letter b at position k iff bit n-1-k of w is set
+    return tuple(
+        "".join("ab"[w >> (n - 1 - k) & 1] for k in range(n)) for w in range(1 << n)
+    )
 
 
-def _verbose_recursive(g: Graph) -> VerboseVector:
-    # g must already be canonical; memoised per isomorphism class
-    cached = _VERBOSE_CACHE.get(g)
-    if cached is not None:
-        return cached
-    if g.n == 0:
-        out = VerboseVector(0, {"": 1})
-    else:
-        coeffs: dict[str, int] = {}
-        for v in range(g.n):
-            m = g.degree(v)
-            tail = _verbose_recursive(canonical_form(g.remove_vertex(v))[0])
-            for w, c in tail.items():
-                wa = "a" + w
-                coeffs[wa] = coeffs.get(wa, 0) + c
-                if m:
-                    wb = "b" + w
-                    coeffs[wb] = coeffs.get(wb, 0) + c * m
-        out = VerboseVector(g.n, coeffs)
-    _VERBOSE_CACHE[g] = out
-    return out
+def _verbose_dp(og: OptionalGraph) -> list[int]:
+    """Verbose coefficients of og, indexed as in _words(og.n).
+
+    f(S) is the sum over v in S of w_S(v) f(S - v), the letter of v leading.
+    Each optional edge is charged to the endpoint removed first, so the
+    inclusion-exclusion sum over optional choices is the coefficient of the
+    product of their indicators, which is multilinear: with r regular and o
+    optional edges from v into S - v, w_S(v) is a + r b when o = 0, b when
+    o = 1 and 0 when o >= 2.
+    """
+    reg = Graph(og.n, og.regular).neighbor_masks()
+    opt = Graph(og.n, og.optional).neighbor_masks()
+    f = [[1]]  # f[S] has 2^|S| entries; the a-words fill its first half
+    for s in range(1, 1 << og.n):
+        a_tails, b_tails = [], []
+        for v in bit_indices(s):
+            rest = s ^ (1 << v)
+            o = (opt[v] & rest).bit_count()
+            tail = f[rest]
+            if o == 0:
+                a_tails.append(tail)
+                r = (reg[v] & rest).bit_count()
+                if r:
+                    b_tails.append(tail if r == 1 else [r * y for y in tail])
+            elif o == 1:
+                b_tails.append(tail)
+        zero = [0] * (1 << (s.bit_count() - 1))
+        f.append(
+            (list(map(sum, zip(*a_tails))) if a_tails else zero)
+            + (list(map(sum, zip(*b_tails))) if b_tails else zero)
+        )
+    return f[-1]
 
 
-def _verbose_by_shellings(g: Graph) -> VerboseVector:
+def _as_sum(g: GraphLike) -> GraphSum:
+    if isinstance(g, GraphSum):
+        return g
+    if isinstance(g, OptionalGraph):
+        return expand(g)
+    return GraphSum.from_graph(g)
+
+
+def _verbose_by_shellings(g: GraphLike) -> dict[str, int]:
     coeffs: dict[str, int] = {}
-    for order in enumerate_shellings(g):
-        for w, c in verbose_contribution(g, order).items():
-            coeffs[w] = coeffs.get(w, 0) + c
-    return VerboseVector(g.n, coeffs)
+    for term, coeff in _as_sum(g).items():
+        for order in enumerate_shellings(term):
+            for w, c in verbose_contribution(term, order).items():
+                coeffs[w] = coeffs.get(w, 0) + coeff * c
+    return coeffs
 
 
 def verbose_flag_vector(g: GraphLike, method: str = "recursion") -> VerboseVector:
     """Word-indexed flag vector of a graph, optional graph or graph sum.
 
-    Two equivalent methods: "recursion" peels one vertex at a time with
-    canonical-form memoisation; "shelling_sum" adds the contribution of
-    every removal order.
+    Two equivalent methods: "recursion" runs the vertex-subset recursion
+    f(S) = sum over v in S of (a + deg_S(v) b) f(S - v) on the labelled
+    graph, with optional edges folded into the step weight; "shelling_sum"
+    expands optional edges and adds the contribution of every removal order.
     """
     if method not in ("recursion", "shelling_sum"):
         raise ValueError(f"unknown method {method!r}")
-    gs = _as_sum(g)
-    if gs.n > MAX_VERBOSE_N:
+    terms = _terms(g)
+    if g.n > MAX_VERBOSE_N:
         raise SizeLimitError(
-            f"verbose flag vectors support n <= {MAX_VERBOSE_N}, got n={gs.n}"
+            f"verbose flag vectors support n <= {MAX_VERBOSE_N}, got n={g.n}"
         )
-    total: dict[str, int] = {}
-    for term, coeff in gs.items():
-        vec = (
-            _verbose_recursive(term)
-            if method == "recursion"
-            else _verbose_by_shellings(term)
-        )
-        for w, c in vec.items():
-            total[w] = total.get(w, 0) + coeff * c
-    return VerboseVector(gs.n, total)
+    if method == "shelling_sum":
+        return VerboseVector(g.n, _verbose_by_shellings(g))
+    total = [0] * (1 << g.n)
+    for og, coeff in terms:
+        for w, c in enumerate(_verbose_dp(og)):
+            total[w] += coeff * c
+    return VerboseVector(g.n, dict(zip(_words(g.n), total)))
 
 
 # ---------------------------------------------------------------------------
 # concise and subgraph forms
 
-@lru_cache(maxsize=1 << 17)
-def _tree_count(edges: frozenset) -> int:
-    # shelling number of the forest spanned by `edges`; isolated vertices
-    # contribute factor 1, so only the support of the edge set matters
-    if not edges:
-        return 1
-    verts = sorted({v for e in edges for v in e})
-    index = {v: k for k, v in enumerate(verts)}
-    relabeled = frozenset(
-        (min(index[a], index[b]), max(index[a], index[b])) for a, b in edges
-    )
-    return tree_shelling_number(Graph(len(verts), relabeled))
+def _subgraph_sum(g: Graph | OptionalGraph, weight) -> ConciseVector:
+    """Sum of weight(H) times the component partition of H over edge sets H.
 
-
-@lru_cache(maxsize=1 << 17)
-def _acyclic_count(n: int, edges: frozenset) -> int:
-    return acyclic_shelling_number(Graph(n, edges))
-
-
-def _component_sizes(n: int, subset: tuple) -> Partition:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in subset:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    sizes: dict[int, int] = {}
-    for v in range(n):
-        r = find(v)
-        sizes[r] = sizes.get(r, 0) + 1
-    return Partition.from_sizes(sizes.values())
-
-
-def _subgraph_sum(g: Graph, weight) -> ConciseVector:
-    edges = sorted(g.edges)
-    if len(edges) > MAX_SUBSET_EDGES:
+    For a Graph, H runs over all subsets of its edges.  For an OptionalGraph,
+    H runs over the optional edges plus any subset of the regular ones, which
+    is its inclusion-exclusion expansion summed term by term.  The concise
+    form is the sum weighted by tree_shelling_number, the subgraph form the
+    one weighted by acyclic_shelling_number.
+    """
+    if isinstance(g, Graph):
+        g = OptionalGraph.from_graph(g)
+    edges = sorted(g.regular)
+    if len(edges) + len(g.optional) > MAX_SUBSET_EDGES:
         raise SizeLimitError(
             f"spanning-subgraph sums support at most {MAX_SUBSET_EDGES} edges, "
-            f"got {len(edges)}"
+            f"got {len(edges) + len(g.optional)}"
         )
     coeffs: dict[Partition, int] = {}
     for mask in range(1 << len(edges)):
-        subset = tuple(edges[k] for k in bit_indices(mask))
-        s = weight(g.n, subset)
-        if s == 0:
-            continue
-        part = _component_sizes(g.n, subset)
-        coeffs[part] = coeffs.get(part, 0) + s
+        h = Graph(g.n, g.optional.union(edges[k] for k in bit_indices(mask)))
+        s = weight(h)
+        if s:
+            part = connected_partition(h)
+            coeffs[part] = coeffs.get(part, 0) + s
     return ConciseVector(g.n, coeffs)
-
-
-_CONCISE_CACHE: dict[Graph, ConciseVector] = {}
-_SUBGRAPH_CACHE: dict[Graph, ConciseVector] = {}
 
 
 def concise_flag_vector(g: GraphLike) -> ConciseVector:
     """Partition-indexed flag vector.
 
     Every edge subset H contributes its tree shelling number times the
-    partition of component sizes; cyclic subsets contribute nothing.
+    partition of component sizes; cyclic subsets contribute nothing.  Up to
+    MAX_VERBOSE_N vertices the sum is found by inverting the verbose form;
+    above, it is summed over the edge subsets (at most MAX_SUBSET_EDGES).
     """
-    gs = _as_sum(g)
-    total: dict[Partition, int] = {}
-    for term, coeff in gs.items():
-        vec = _CONCISE_CACHE.get(term)
-        if vec is None:
-            vec = _subgraph_sum(term, lambda n, subset: _tree_count(frozenset(subset)))
-            _CONCISE_CACHE[term] = vec
-        for part, c in vec.items():
-            total[part] = total.get(part, 0) + coeff * c
-    return ConciseVector(gs.n, total)
+    terms = _terms(g)
+    if g.n <= MAX_VERBOSE_N:
+        return concise_from_verbose(verbose_flag_vector(g))
+    total = ConciseVector(g.n)
+    for og, coeff in terms:
+        total += coeff * _subgraph_sum(og, tree_shelling_number)
+    return total
 
 
 def subgraph_flag_vector(g: GraphLike) -> ConciseVector:
     """Partition-indexed flag vector weighted by acyclic shelling numbers.
 
     Every edge subset H contributes its acyclic shelling number (on the full
-    vertex set) times the partition of component sizes.
+    vertex set) times the partition of component sizes.  Computed as the
+    inverse of scale_subgraph_to_concise applied to the concise form.
     """
-    gs = _as_sum(g)
-    if gs.n > MAX_SUBGRAPH_N:
+    _terms(g)  # type check before reading g.n
+    if g.n > MAX_SUBGRAPH_N:
         raise SizeLimitError(
-            f"subgraph flag vectors support n <= {MAX_SUBGRAPH_N}, got n={gs.n}"
+            f"subgraph flag vectors support n <= {MAX_SUBGRAPH_N}, got n={g.n}"
         )
-    total: dict[Partition, int] = {}
-    for term, coeff in gs.items():
-        vec = _SUBGRAPH_CACHE.get(term)
-        if vec is None:
-            vec = _subgraph_sum(
-                term, lambda n, subset: _acyclic_count(n, frozenset(subset))
-            )
-            _SUBGRAPH_CACHE[term] = vec
-        for part, c in vec.items():
-            total[part] = total.get(part, 0) + coeff * c
-    return ConciseVector(gs.n, total)
+    return ConciseVector(
+        g.n,
+        {
+            part: c * multinomial(g.n, part.parts) * _part_scale(part)
+            for part, c in concise_flag_vector(g).items()
+        },
+    )
 
 
 def scale_subgraph_to_concise(v: ConciseVector) -> ConciseVector:
@@ -237,9 +226,7 @@ def scale_subgraph_to_concise(v: ConciseVector) -> ConciseVector:
     """
     out: dict[Partition, int] = {}
     for part, c in v.items():
-        denom = multinomial(v.n, part.parts)
-        for m in part.parts:
-            denom *= component_scale(m)
+        denom = multinomial(v.n, part.parts) * _part_scale(part)
         q, r = divmod(c, denom)
         if r:
             raise ValueError(
@@ -253,6 +240,7 @@ def scale_subgraph_to_concise(v: ConciseVector) -> ConciseVector:
 # ---------------------------------------------------------------------------
 # conversions between verbose and concise
 
+@lru_cache(maxsize=256)
 def shuffle(partition: Partition) -> VerboseVector:
     """Sum of all interleavings of the words b^(part-1) a, one per part.
 
@@ -290,9 +278,7 @@ def verbose_from_concise(v: ConciseVector) -> VerboseVector:
     """
     total: dict[str, int] = {}
     for part, c in v.items():
-        scale = c
-        for m in part.parts:
-            scale *= component_scale(m)
+        scale = c * _part_scale(part)
         for w, k in shuffle(part).items():
             total[w] = total.get(w, 0) + scale * k
     return VerboseVector(v.n, total)
@@ -307,6 +293,18 @@ def anchor_word(partition: Partition) -> str:
     return "".join("b" * (m - 1) + "a" for m in sorted(partition.parts))
 
 
+@lru_cache(maxsize=16)
+def _anchor_system(n: int):
+    # partitions by anchor word, their anchors, and the scaled shuffle
+    # coefficients at those anchors (upper triangular, nonzero diagonal)
+    order = sorted(enumerate_partitions(n), key=anchor_word)
+    anchors = [anchor_word(p) for p in order]
+    rows = [
+        [_part_scale(p) * shuffle(p).coefficient(w) for w in anchors] for p in order
+    ]
+    return order, anchors, rows
+
+
 def concise_from_verbose(v: VerboseVector, check: bool = True) -> ConciseVector:
     """Invert verbose_from_concise using the anchor-word coordinates.
 
@@ -316,15 +314,7 @@ def concise_from_verbose(v: VerboseVector, check: bool = True) -> ConciseVector:
     coordinate of the input; a mismatch means the input lies outside the span
     of graph flag vectors.
     """
-    order = sorted(enumerate_partitions(v.n), key=anchor_word)
-    anchors = [anchor_word(p) for p in order]
-    rows = []
-    for part in order:
-        scale = 1
-        for m in part.parts:
-            scale *= component_scale(m)
-        shuf = shuffle(part)
-        rows.append([scale * shuf.coefficient(w) for w in anchors])
+    order, anchors, rows = _anchor_system(v.n)
     coeffs: list[Fraction] = []
     for j in range(len(order)):
         rhs = Fraction(v.coefficient(anchors[j]))

@@ -194,6 +194,11 @@ class OptionalGraph:
         return self.to_text()
 
 
+def _is_number(s: str) -> bool:
+    # the grammar's digits are ASCII; str.isdigit also accepts "²" and the like
+    return s.isascii() and s.isdigit()
+
+
 def parse_graph(text: str) -> OptionalGraph:
     """Parse `n ":" edge ("," edge)*` where edge is `["?"] i "-" j`.
 
@@ -206,7 +211,7 @@ def parse_graph(text: str) -> OptionalGraph:
     if colon < 0:
         raise GraphParseError(f"missing ':' in graph text {text!r}")
     head = text[:colon].strip()
-    if not head.isdigit():
+    if not _is_number(head):
         raise GraphParseError(f"bad vertex count {head!r} at position 0")
     n = int(head)
 
@@ -225,7 +230,8 @@ def parse_graph(text: str) -> OptionalGraph:
             is_opt = tok.startswith("?")
             body = tok[1:] if is_opt else tok
             left, dash, right = body.partition("-")
-            if not dash or not left.strip().isdigit() or not right.strip().isdigit():
+            left, right = left.strip(), right.strip()
+            if not dash or not _is_number(left) or not _is_number(right):
                 raise GraphParseError(f"bad edge {tok!r} at position {at}")
             i, j = int(left), int(right)
             if i == j:

@@ -158,7 +158,8 @@ def hull_report(n: int, include_facets: bool = False) -> HullReport:
         is_vertex = not _in_convex_hull(coords, others)
         for g in groups[coords]:
             flags[g] = is_vertex
-    points = {g: concise_flag_vector(g) for g, _ in pts}
+    parts = enumerate_partitions(n)
+    points = {g: ConciseVector(n, dict(zip(parts, coords))) for g, coords in pts}
     facets = None
     if include_facets:
         facets = hull_facets([coords for _, coords in pts])

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .exactlin import RationalMatrix, kernel_basis
 from .flagvectors import (
+    _subgraph_sum,
     anchor_word,
     basis_graph,
     complement_transform,
@@ -37,7 +38,11 @@ from .graphs import (
 )
 from .partitions import Partition, enumerate_partitions, partition_count
 from .polytope import hull_report, nullspace_report, span_dimension
-from .shellings import count_semiconcise_flags
+from .shellings import (
+    acyclic_shelling_number,
+    count_semiconcise_flags,
+    tree_shelling_number,
+)
 from .vectors import ConciseVector, VerboseVector
 
 
@@ -255,17 +260,24 @@ def _criterion_10():
 
 
 def _criterion_11():
+    # the concise and subgraph forms are derived from the verbose kernel, so
+    # every conversion is checked against the definitional subgraph sums
     problems = []
     for n in range(6):
         for g in enumerate_graphs(n):
-            concise = concise_flag_vector(g)
+            concise = _subgraph_sum(g, tree_shelling_number)
+            subgraph = _subgraph_sum(g, acyclic_shelling_number)
             verbose = verbose_flag_vector(g)
             if verbose_from_concise(concise) != verbose:
                 problems.append(f"expand mismatch on {g.serialize()}")
             if concise_from_verbose(verbose) != concise:
                 problems.append(f"invert mismatch on {g.serialize()}")
-            if scale_subgraph_to_concise(subgraph_flag_vector(g)) != concise:
+            if scale_subgraph_to_concise(subgraph) != concise:
                 problems.append(f"scale mismatch on {g.serialize()}")
+            if concise_flag_vector(g) != concise:
+                problems.append(f"concise mismatch on {g.serialize()}")
+            if subgraph_flag_vector(g) != subgraph:
+                problems.append(f"subgraph mismatch on {g.serialize()}")
     return not problems, "; ".join(problems) or "conversions close on all classes n <= 5"
 
 

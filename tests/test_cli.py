@@ -1,4 +1,5 @@
 import json
+import time
 
 from graphflag.cli import main
 
@@ -146,6 +147,17 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run(capsys, "rank")
     assert code == 1
+
+
+def test_out_of_bound_n_refused_before_work(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "average", "--n", "24")
+    assert code == 2 and "size limit" in err
+    code, _, err = run(capsys, "average", "--n", "24", "--word", "a" * 24)
+    assert code == 2 and "size limit" in err
+    code, _, err = run(capsys, "enumerate", "--n", "-1")
+    assert code == 1 and "usage error" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_unknown_flag_rejected(capsys):

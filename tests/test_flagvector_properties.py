@@ -1,0 +1,130 @@
+"""Property checks of the vertex-subset kernel against the definitional sums.
+
+The verbose kernel folds optional edges into its step weight and the concise
+and subgraph forms are derived from it, so each is compared here with a path
+that shares none of that: shelling sums, spanning-subgraph sums weighted by
+tree or acyclic shelling numbers, and the inclusion-exclusion expansion.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import graphflag.graphs
+from graphflag import (
+    ConciseVector,
+    Graph,
+    OptionalGraph,
+    acyclic_shelling_number,
+    concise_flag_vector,
+    connected_partition,
+    expand,
+    pair_order,
+    parse_graph,
+    subgraph_flag_vector,
+    tree_shelling_number,
+    verbose_flag_vector,
+)
+from graphflag.flagvectors import _subgraph_sum
+
+
+@st.composite
+def labelled_graphs(draw, max_n=7, max_edges=10, max_optional=3):
+    n = draw(st.integers(0, max_n))
+    pairs = pair_order(n)
+    m = draw(st.integers(0, min(max_edges, len(pairs))))
+    k = draw(st.integers(0, min(max_optional, m)))
+    chosen = draw(st.permutations(pairs))[:m]
+    return OptionalGraph(n, frozenset(chosen[k:]), frozenset(chosen[:k]))
+
+
+def _expanded_sum(og, form):
+    total = None
+    for term, coeff in expand(og).items():
+        vec = coeff * form(term)
+        total = vec if total is None else total + vec
+    return total
+
+
+@settings(max_examples=25)
+@given(labelled_graphs(max_optional=2))
+def test_dp_equals_shelling_sum(og):
+    assert verbose_flag_vector(og) == verbose_flag_vector(og, "shelling_sum")
+
+
+@settings(max_examples=40)
+@given(labelled_graphs())
+def test_optional_dp_equals_signed_expansion(og):
+    assert verbose_flag_vector(og) == _expanded_sum(og, verbose_flag_vector)
+
+
+@settings(max_examples=40)
+@given(labelled_graphs())
+def test_concise_equals_tree_weighted_subset_sum(og):
+    expected = _expanded_sum(og, lambda g: _subgraph_sum(g, tree_shelling_number))
+    assert concise_flag_vector(og) == expected
+
+
+@settings(max_examples=40)
+@given(labelled_graphs())
+def test_subgraph_equals_acyclic_weighted_subset_sum(og):
+    expected = _expanded_sum(og, lambda g: _subgraph_sum(g, acyclic_shelling_number))
+    assert subgraph_flag_vector(og) == expected
+
+
+@settings(max_examples=40)
+@given(labelled_graphs(max_edges=21), st.randoms(use_true_random=False))
+def test_forms_are_invariant_under_relabelling(og, rng):
+    perm = list(range(og.n))
+    rng.shuffle(perm)
+    moved = og.relabel(tuple(perm))
+    for form in (verbose_flag_vector, concise_flag_vector, subgraph_flag_vector):
+        assert form(moved) == form(og)
+
+
+def _walked_concise(g: Graph) -> ConciseVector:
+    # spanning-subgraph sum by an edge-subset walk written apart from the package
+    edges = sorted(g.edges)
+    coeffs = {}
+    for r in range(len(edges) + 1):
+        for pick in itertools.combinations(edges, r):
+            sub = Graph(g.n, frozenset(pick))
+            s = tree_shelling_number(sub)
+            if s:
+                part = connected_partition(sub)
+                coeffs[part] = coeffs.get(part, 0) + s
+    return ConciseVector(g.n, coeffs)
+
+
+def test_concise_above_the_verbose_bound_sums_subgraphs():
+    g = parse_graph("10:0-1,1-2,2-3,3-4,1-5,6-7,7-8,6-8,8-9").as_graph()
+    assert concise_flag_vector(g) == _walked_concise(g)
+    og = parse_graph("10:0-1,?1-2,2-3,?3-4,1-5,6-7,?7-8,6-8")
+    expected = ConciseVector(10)
+    choices = sorted(og.optional)
+    for r in range(len(choices) + 1):
+        for pick in itertools.combinations(choices, r):
+            sign = (-1) ** (len(choices) - r)
+            expected += sign * _walked_concise(Graph(10, og.regular | set(pick)))
+    assert concise_flag_vector(og) == expected
+
+
+def test_flag_vectors_search_no_canonical_form(monkeypatch):
+    calls = []
+    original = graphflag.graphs.canonical_form
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphflag.graphs, "canonical_form", counting)
+    g = parse_graph("6:0-1,1-2,2-3,3-4,4-5,0-5,1-4").as_graph()
+    og = parse_graph("6:0-1,?1-2,2-3,?3-4,4-5,?0-5")
+    for x in (g, og):
+        verbose_flag_vector(x)
+        concise_flag_vector(x)
+        subgraph_flag_vector(x)
+    assert calls == []
+    expand(og)  # canonicalises its terms, so the counter does see calls
+    assert calls

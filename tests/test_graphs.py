@@ -73,6 +73,8 @@ def test_parse_edgeless_and_whitespace():
         ("3:0-1,?1-0", "duplicate"),
         ("3:0-1,,1-2", "empty edge"),
         ("3:0+1", "bad edge"),
+        ("²:", "bad vertex count '²' at position 0"),
+        ("3:0-²", "bad edge '0-²' at position 2"),
     ],
 )
 def test_parse_errors(text, fragment):
