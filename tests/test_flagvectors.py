@@ -10,6 +10,7 @@ from graphflag import (
     Partition,
     SizeLimitError,
     VerboseVector,
+    acyclic_shelling_number,
     anchor_word,
     basis_graph,
     complement,
@@ -36,7 +37,6 @@ from graphflag import (
     verbose_from_concise,
 )
 from graphflag.flagvectors import _subgraph_sum
-from graphflag.shellings import acyclic_shelling_number
 from graphflag.vectors import EdgeWordVector
 
 
