@@ -1,15 +1,70 @@
 """Exact rational linear algebra: rank, null spaces and LP feasibility.
 
-Everything works over Fraction; no floating point enters at any stage.
+Inputs and results are Fractions, but the work is integer fraction-free
+elimination: a system is scaled by one common denominator and every routine
+is built on one Edmonds/Bareiss pivot step (`_step`), whose divisions are
+exact.  No floating point enters at any stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 Rational = Fraction
+
+
+def _step(row: list[int], prow: list[int], c: int, prev: int) -> list[int]:
+    """Eliminate column c from row with pivot row prow: (row * p - row[c] *
+    prow) // prev, where p = prow[c] and prev is the previous pivot.
+
+    All rows of one elimination share the denominator prev; after the step
+    they share p, and Sylvester's identity makes the division exact (Bareiss
+    1968).  Rows with a zero in column c are rescaled to the new denominator.
+    """
+    p, f = prow[c], row[c]
+    if not f:
+        return row if p == prev else [x * p // prev for x in row]
+    return [(x * p - f * y) // prev for x, y in zip(row, prow)]
+
+
+def integer_rows(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """Rows of ints or Fractions scaled by their least common denominator
+    to integers."""
+    grid = [list(row) for row in rows]
+    den = math.lcm(*(x.denominator for row in grid for x in row))
+    return [[x.numerator * den // x.denominator for x in row] for row in grid], den
+
+
+class EchelonRows:
+    """Integer rows kept in fraction-free row-echelon form, added one at a
+    time: each new row replays the earlier pivot steps, so `rank` is exact
+    incremental rank."""
+
+    def __init__(self) -> None:
+        self._rows: list[list[int]] = []
+        self._cols: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def add(self, row: Iterable[int]) -> list[int] | None:
+        """Reduce row; keep and return it (an integer multiple of the row
+        minus earlier rows, zero in every earlier pivot column) if it is
+        independent of the rows so far, else return None."""
+        work, prev = list(row), 1
+        for prow, c in zip(self._rows, self._cols):
+            work = _step(work, prow, c, prev)
+            prev = prow[c]
+        lead = next((j for j, v in enumerate(work) if v), None)
+        if lead is None:
+            return None
+        self._rows.append(work)
+        self._cols.append(lead)
+        return work
 
 
 class RationalMatrix:
@@ -66,28 +121,33 @@ class RationalMatrix:
         )
 
     def _rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        work = [list(row) for row in self._entries]
+        # fraction-free Gauss-Jordan: every pivot entry ends equal to the
+        # last pivot, so one division per entry yields the unique RREF
+        work, _ = integer_rows(self._entries)
         pivots: list[int] = []
-        r = 0
+        prev = 1
         for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if work[i][c] != 0), None)
+            r = len(pivots)
+            if r == self.rows:
+                break
+            pivot = next((i for i in range(r, self.rows) if work[i][c]), None)
             if pivot is None:
                 continue
             work[r], work[pivot] = work[pivot], work[r]
-            inv = 1 / work[r][c]
-            work[r] = [x * inv for x in work[r]]
             for i in range(self.rows):
-                if i != r and work[i][c] != 0:
-                    f = work[i][c]
-                    work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                if i != r:
+                    work[i] = _step(work[i], work[r], c, prev)
+            prev = work[r][c]
             pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return work, pivots
+        return [[Fraction(x, prev) for x in row] for row in work], pivots
 
     def rank(self) -> int:
-        return len(self._rref()[1])
+        echelon = EchelonRows()
+        for row in integer_rows(self._entries)[0]:
+            if echelon.rank == self.cols:
+                break
+            echelon.add(row)
+        return echelon.rank
 
     def kernel_basis(self) -> tuple[tuple[Fraction, ...], ...]:
         """Basis of the right null space, one vector per free column."""
@@ -127,7 +187,7 @@ class RationalMatrix:
 
 
 def rank(m: RationalMatrix) -> int:
-    """Exact rank by rational Gaussian elimination."""
+    """Exact rank by fraction-free (Bareiss) forward elimination."""
     return m.rank()
 
 
@@ -157,77 +217,67 @@ def lp_feasible(eq: RationalMatrix, rhs: Sequence) -> LPResult:
     """Exact feasibility of {eq . x = rhs, x >= 0} by phase-one simplex.
 
     Bland's rule (least-index entering and leaving) guarantees termination.
-    Both kinds of certificate are re-verified before returning.
+    The system is scaled by one common denominator, which keeps the signs
+    of the reduced costs and so Bland's pivots; the tableau and its reduced
+    costs are integers over the common positive denominator `prev`.  Both
+    kinds of certificate are re-verified in integers before returning.
     """
     m, n = eq.rows, eq.cols
     b = [Fraction(x) for x in rhs]
     if len(b) != m:
         raise ValueError(f"rhs length {len(b)} != rows {m}")
+    scaled, _ = integer_rows([*eq.to_rows(), b])
+    a, b = scaled[:m], scaled[m]
     flip = [-1 if bi < 0 else 1 for bi in b]
-    tableau = [
-        [flip[i] * x for x in eq.row(i)]
-        + [Fraction(int(i == k)) for k in range(m)]
-        + [flip[i] * b[i]]
-        for i in range(m)
+    rows = [
+        [f * x for x in a[i]] + [int(i == k) for k in range(m)] + [f * b[i]]
+        for i, f in enumerate(flip)
     ]
+    # reduced costs of minimising the artificial sum (artificial columns
+    # start at 0); the last entry is minus the objective value
+    rows.append([-sum(row[j] for row in rows) for j in range(n)] + [0] * m)
+    rows[m].append(-sum(row[-1] for row in rows[:m]))
     basis = [n + i for i in range(m)]
-    # reduced costs of minimising the artificial sum; artificial columns start at 0
-    reduced = [
-        -sum((tableau[i][j] for i in range(m)), Fraction(0)) for j in range(n)
-    ] + [Fraction(0)] * m
+    prev = 1
 
     while True:
-        entering = next((j for j in range(n + m) if reduced[j] < 0), None)
+        entering = next((j for j in range(n + m) if rows[m][j] < 0), None)
         if entering is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            if tableau[i][entering] > 0:
-                ratio = tableau[i][-1] / tableau[i][entering]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
+            if rows[i][entering] > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # compare ratios rhs / entry by cross-multiplication
+                lhs = rows[i][-1] * rows[leave][entering]
+                best = rows[leave][-1] * rows[i][entering]
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("phase-one objective cannot be unbounded")
-        # the reduced-cost row ignores the rhs column; trim it for the update
-        rhs_col = [tableau[i][-1] for i in range(m)]
-        body = [tableau[i][:-1] for i in range(m)]
-        inv = 1 / body[leave][entering]
-        rhs_col[leave] *= inv
-        body[leave] = [x * inv for x in body[leave]]
-        for k in range(m):
-            if k != leave and body[k][entering] != 0:
-                f = body[k][entering]
-                body[k] = [x - f * y for x, y in zip(body[k], body[leave])]
-                rhs_col[k] -= f * rhs_col[leave]
-        f = reduced[entering]
-        if f != 0:
-            reduced = [x - f * y for x, y in zip(reduced, body[leave])]
-        tableau = [body[i] + [rhs_col[i]] for i in range(m)]
+        for i in range(m + 1):
+            if i != leave:
+                rows[i] = _step(rows[i], rows[leave], entering, prev)
+        prev = rows[leave][entering]
         basis[leave] = entering
 
-    residual = sum(
-        (tableau[i][-1] for i in range(m) if basis[i] >= n), Fraction(0)
-    )
-    if residual == 0:
-        x = [Fraction(0)] * n
+    if rows[m][-1] == 0:
+        x = [0] * n
         for i, bv in enumerate(basis):
             if bv < n:
-                x[bv] = tableau[i][-1]
-        if any(v < 0 for v in x) or eq.matvec(x) != tuple(b):
+                x[bv] = rows[i][-1]
+        if any(v < 0 for v in x) or any(
+            sum(aij * xj for aij, xj in zip(row, x)) != bi * prev
+            for row, bi in zip(a, b)
+        ):
             raise ArithmeticError("simplex produced an invalid feasible point")
-        return LPResult(True, tuple(x), None)
+        return LPResult(True, tuple(Fraction(v, prev) for v in x), None)
 
-    y = [(1 - reduced[n + i]) * flip[i] for i in range(m)]
-    farkas = tuple(-yi for yi in y)
-    cols = eq.transpose().to_rows()
-    products = [sum((fi * a for fi, a in zip(farkas, col)), Fraction(0)) for col in cols]
-    against = sum((fi * bi for fi, bi in zip(farkas, b)), Fraction(0))
+    farkas = [(rows[m][n + i] - prev) * f for i, f in enumerate(flip)]
+    products = [sum(fi * row[j] for fi, row in zip(farkas, a)) for j in range(n)]
+    against = sum(fi * bi for fi, bi in zip(farkas, b))
     if any(p < 0 for p in products) or against >= 0:
         raise ArithmeticError("simplex produced an invalid Farkas certificate")
-    return LPResult(False, None, farkas)
+    return LPResult(False, None, tuple(Fraction(v, prev) for v in farkas))

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import SizeLimitError
-from .exactlin import RationalMatrix, lp_feasible
+from .exactlin import EchelonRows, RationalMatrix, integer_rows, lp_feasible
 from .flagvectors import concise_flag_vector
 from .graphs import (
     Graph,
@@ -121,10 +121,9 @@ class HullReport:
 def _in_convex_hull(target: tuple, others: list[tuple]) -> bool:
     if not others:
         return False
-    rows = [[Fraction(o[i]) for o in others] for i in range(len(target))]
-    rows.append([Fraction(1)] * len(others))  # convex weights sum to one
-    rhs = [Fraction(x) for x in target] + [Fraction(1)]
-    return lp_feasible(RationalMatrix(rows), rhs).feasible
+    rows = [[o[i] for o in others] for i in range(len(target))]
+    rows.append([1] * len(others))  # convex weights sum to one
+    return lp_feasible(RationalMatrix(rows), [*target, 1]).feasible
 
 
 def hull_report(n: int, include_facets: bool = False) -> HullReport:
@@ -169,19 +168,17 @@ def hull_report(n: int, include_facets: bool = False) -> HullReport:
 # ---------------------------------------------------------------------------
 # facet enumeration by double description
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    """Divide a nonzero integer vector by the gcd of its entries."""
+    g = math.gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector by a positive factor to coprime ints."""
-    denom = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _double_description(constraints: list[tuple[Fraction, ...]]) -> list[tuple[int, ...]]:
+def _double_description(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of {x : c . x >= 0 for every c}, assuming the final cone
     is pointed.  Lineality is carried explicitly until constraints remove it.
 
@@ -191,45 +188,37 @@ def _double_description(constraints: list[tuple[Fraction, ...]]) -> list[tuple[i
     """
     dim = len(constraints[0])
     cons = [_primitive(c) for c in constraints]  # positive scaling keeps the cone
-    lineality: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)
-    ]
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []  # tight-constraint bitmask per ray
 
-    def idot(c: tuple[int, ...], r) -> Fraction | int:
-        return sum(x * y for x, y in zip(c, r))
-
     def tight_mask(vec: tuple[int, ...], upto: int) -> int:
-        out = 0
-        for t in range(upto):
-            if idot(cons[t], vec) == 0:
-                out |= 1 << t
-        return out
+        return sum(1 << t for t in range(upto) if _dot(cons[t], vec) == 0)
 
     for idx, c in enumerate(cons):
-        line_vals = [idot(c, v) for v in lineality]
+        line_vals = [_dot(c, v) for v in lineality]
         if any(line_vals):
             k = next(i for i, val in enumerate(line_vals) if val)
             u, cu = lineality[k], line_vals[k]
             if cu < 0:
                 u, cu = tuple(-x for x in u), -cu
+            # cu * v - cv * u is cu > 0 times v - (cv / cu) * u: scale, never divide
             lineality = [
-                tuple(vx - (cv / cu) * ux for vx, ux in zip(v, u))
+                _primitive(tuple(cu * vx - cv * ux for vx, ux in zip(v, u)))
                 for i, (v, cv) in enumerate(zip(lineality, line_vals))
                 if i != k
             ]
             vectors = []
             for r in rays:
-                cr = idot(c, r)
-                r2 = tuple(Fraction(rx) - Fraction(cr, cu) * ux for rx, ux in zip(r, u))
+                cr = _dot(c, r)
+                r2 = tuple(cu * rx - cr * ux for rx, ux in zip(r, u))
                 if any(r2):
                     vectors.append(_primitive(r2))
             vectors.append(_primitive(u))
             rays = vectors
             masks = [tight_mask(r, idx + 1) for r in rays]
         else:
-            vals = [idot(c, r) for r in rays]
+            vals = [_dot(c, r) for r in rays]
             if any(v < 0 for v in vals):
                 plus = [i for i, v in enumerate(vals) if v > 0]
                 zero = [i for i, v in enumerate(vals) if v == 0]
@@ -273,35 +262,28 @@ def _double_description(constraints: list[tuple[Fraction, ...]]) -> list[tuple[i
     return rays
 
 
-def _affine_chart(points: list[tuple[Fraction, ...]]):
-    """Origin, basis matrix and coordinate map for the affine hull of points.
+def _affine_chart(points: list[tuple[int, ...]]):
+    """Origin, integer chart and its denominator for the affine hull of
+    integer points.
 
-    Returns (p0, chart) where chart maps ambient x to hull coordinates t via
-    t = chart . (x - p0); the chart rows span the difference space, so
-    ambient inequality coefficients recovered through it vanish on constant
-    coordinates.
+    Returns (p0, chart, den) where chart / den maps ambient x to hull
+    coordinates t via t = chart . (x - p0) / den; the chart rows span the
+    difference space, so ambient inequality coefficients recovered through
+    it vanish on constant coordinates.
     """
     p0 = points[0]
+    echelon = EchelonRows()
     basis_rows: list[list[Fraction]] = []
-    pivot_cols: list[int] = []
     for x in points[1:]:
-        row = [a - b for a, b in zip(x, p0)]
-        for col, brow in zip(pivot_cols, basis_rows):
-            if row[col] != 0:
-                f = row[col]
-                row = [a - f * b for a, b in zip(row, brow)]
-        lead = next((j for j, v in enumerate(row) if v != 0), None)
-        if lead is None:
-            continue
-        inv = 1 / row[lead]
-        basis_rows.append([v * inv for v in row])
-        pivot_cols.append(lead)
+        row = echelon.add([a - b for a, b in zip(x, p0)])
+        if row is not None:
+            lead = next(v for v in row if v)
+            basis_rows.append([Fraction(v, lead) for v in row])
     if not basis_rows:
-        return p0, None
+        return p0, None, 1
     b = RationalMatrix(basis_rows)
-    gram = b.matmul(b.transpose())
-    chart = gram.inverse().matmul(b)
-    return p0, chart
+    chart = b.matmul(b.transpose()).inverse().matmul(b)
+    return (p0, *integer_rows(chart.to_rows()))
 
 
 def hull_facets(points: Sequence) -> tuple[FacetInequality, ...]:
@@ -311,19 +293,15 @@ def hull_facets(points: Sequence) -> tuple[FacetInequality, ...]:
     coordinate sequences.  Returns (coefficients, offset) pairs, scaled to
     coprime integers, with coefficients . x + offset >= 0 on every input
     point and equality exactly on each facet.  Coefficients are zero on
-    coordinates that are constant across the points.
+    coordinates that are constant across the points.  Rational points are
+    scaled by one common denominator; all the work is in integers.
     """
-    coords: list[tuple[Fraction, ...]] = []
-    for p in points:
-        if isinstance(p, ConciseVector):
-            parts = enumerate_partitions(p.n)
-            coords.append(tuple(Fraction(p.coefficient(q)) for q in parts))
-        else:
-            coords.append(tuple(Fraction(x) for x in p))
-    seen: dict[tuple[Fraction, ...], None] = {}
-    for x in coords:
-        seen.setdefault(x, None)
-    unique = list(seen)
+    scaled, scale = integer_rows(
+        [p.coefficient(q) for q in enumerate_partitions(p.n)]
+        if isinstance(p, ConciseVector) else [Fraction(x) for x in p]
+        for p in points
+    )
+    unique = list(dict.fromkeys(map(tuple, scaled)))
     if len(unique) > MAX_FACET_POINTS:
         raise SizeLimitError(
             f"hull_facets supports at most {MAX_FACET_POINTS} distinct points, "
@@ -335,41 +313,35 @@ def hull_facets(points: Sequence) -> tuple[FacetInequality, ...]:
             f"hull_facets supports ambient dimension <= {MAX_FACET_DIM}, "
             f"got {ambient}"
         )
-    p0, chart = _affine_chart(unique)
+    p0, chart, den = _affine_chart(unique)
     if chart is None:
         return ()
-    ts = [chart.matvec([a - b for a, b in zip(x, p0)]) for x in unique]
-    d = chart.rows
-    rays = _double_description([(Fraction(1),) + t for t in ts])
+    diffs = [[a - b for a, b in zip(x, p0)] for x in unique]
+    rays = _double_description([(den, *(_dot(row, d) for row in chart)) for d in diffs])
 
-    facets: list[FacetInequality] = []
+    facets: list[tuple[int, ...]] = []
     for ray in rays:
-        a = [Fraction(x) for x in ray[1:]]
-        amb = [
-            sum((a[k] * chart.entry(k, j) for k in range(d)), Fraction(0))
-            for j in range(ambient)
-        ]
-        offset = Fraction(ray[0]) - _dot(amb, p0)
-        prim = _primitive(amb + [offset])
-        facets.append((prim[:-1], prim[-1]))
+        amb = [_dot(ray[1:], col) for col in zip(*chart)]
+        facets.append(_primitive(amb + [ray[0] * den - _dot(amb, p0)]))
 
     # verify before returning: validity on all points and genuine facet rank
-    for coeffs, offset in facets:
-        vals = [offset + sum(c * x for c, x in zip(coeffs, pt)) for pt in unique]
+    for *coeffs, offset in facets:
+        vals = [offset + _dot(coeffs, pt) for pt in unique]
         if any(v < 0 for v in vals):
             raise ArithmeticError("facet inequality fails on an input point")
         tight = [pt for pt, v in zip(unique, vals) if v == 0]
         if not tight:
             raise ArithmeticError("facet inequality is tight on no point")
-        diffs = [
-            [a - b for a, b in zip(pt, tight[0])] for pt in tight[1:]
-        ]
-        tight_rank = RationalMatrix(diffs).rank() if diffs else 0
-        if tight_rank != d - 1:
+        echelon = EchelonRows()
+        for pt in tight[1:]:
+            echelon.add([a - b for a, b in zip(pt, tight[0])])
+        if echelon.rank != len(chart) - 1:
             raise ArithmeticError("inequality does not support a facet")
     if len(set(facets)) != len(facets):
         raise ArithmeticError("duplicate facet inequalities")
-    return tuple(sorted(facets))
+    # back to the unscaled points: c . (scale x) + offset >= 0
+    facets = [_primitive([c * scale for c in f[:-1]] + [f[-1]]) for f in facets]
+    return tuple(sorted((f[:-1], f[-1]) for f in facets))
 
 
 # ---------------------------------------------------------------------------
@@ -408,31 +380,6 @@ class NullspaceReport:
         }
 
 
-class _IncrementalRank:
-    """Row-echelon accumulator for incremental exact rank."""
-
-    def __init__(self) -> None:
-        self._pivots: dict[int, tuple[Fraction, ...]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def add(self, row: Sequence) -> bool:
-        work = [Fraction(x) for x in row]
-        while True:
-            lead = next((j for j, v in enumerate(work) if v != 0), None)
-            if lead is None:
-                return False
-            pivot = self._pivots.get(lead)
-            if pivot is None:
-                inv = 1 / work[lead]
-                self._pivots[lead] = tuple(v * inv for v in work)
-                return True
-            f = work[lead]
-            work = [v - f * p for v, p in zip(work, pivot)]
-
-
 def _single_cycle_optional_graphs(n: int):
     """Optional-edge graphs whose optional set is one cycle, up to isomorphism,
     with arbitrary regular edges elsewhere."""
@@ -467,7 +414,7 @@ def nullspace_report(n: int) -> NullspaceReport:
     classes = [g for g, _ in pts]
     index = {g: k for k, g in enumerate(classes)}
     kernel_dim = len(classes) - RationalMatrix([c for _, c in pts]).rank()
-    reducer = _IncrementalRank()
+    reducer = EchelonRows()
     for og in _single_cycle_optional_graphs(n):
         row = [0] * len(classes)
         for term, coeff in expand(og).items():

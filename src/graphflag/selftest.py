@@ -224,7 +224,23 @@ def _criterion_9():
         og = _random_optional_with_cycle(rng)
         if not verbose_flag_vector(og).is_zero:
             problems.append(f"trial {trial}: {og.to_text()}")
-    return not problems, "; ".join(problems) or "all 50 optional-cycle vectors vanish"
+    # with one optional edge made regular the vector need not vanish; the
+    # optional-edge fold must then equal the signed sum over the expansion
+    nonzero = 0
+    for trial in range(60):
+        og = _random_optional_with_cycle(rng)
+        edge = rng.choice(sorted(og.optional))
+        og = OptionalGraph(og.n, og.regular | {edge}, og.optional - {edge})
+        vec = verbose_flag_vector(og)
+        if vec != verbose_flag_vector(expand(og)):
+            problems.append(f"expansion mismatch on {og.to_text()}")
+        nonzero += not vec.is_zero
+    if nonzero < 20:
+        problems.append(f"only {nonzero} of 60 broken-cycle vectors are nonzero")
+    return not problems, "; ".join(problems) or (
+        "all 50 optional-cycle vectors vanish; all 60 broken-cycle vectors "
+        f"match their expansions ({nonzero} nonzero)"
+    )
 
 
 def _criterion_10():

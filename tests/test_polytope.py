@@ -206,6 +206,61 @@ def test_class_point_facets_match_oracle(n):
     assert _facet_tight_sets(points, facets) == _facet_tight_sets_oracle(points)
 
 
+def _vertices_by_facets(points, facets):
+    # a point is a vertex iff no other distinct point is tight on every
+    # facet through it
+    def through(pt):
+        return {
+            f for f in facets if f[1] + sum(c * x for c, x in zip(f[0], pt)) == 0
+        }
+
+    distinct = set(points)
+    return {
+        pt: not any(through(pt) <= through(q) for q in distinct - {pt})
+        for pt in distinct
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lp_vertex_verdicts_match_facet_incidence(n):
+    # two independent methods: the exact LP per point and the DD facets
+    report = hull_report(n, include_facets=True)
+    parts = enumerate_partitions(n)
+    coords = {
+        g: tuple(vec.coefficient(p) for p in parts)
+        for g, vec in report.points.items()
+    }
+    by_facets = _vertices_by_facets(list(coords.values()), report.facets)
+    for g, pt in coords.items():
+        assert report.vertex_flags[g] == by_facets[pt]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0)],
+        [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (1, 1, 0)],
+        [(0, 0), (1, 1), (2, 2), (3, 3)],
+    ],
+)
+def test_lp_and_facet_vertices_agree_with_interior_points(points):
+    from graphflag.polytope import _in_convex_hull
+
+    by_facets = _vertices_by_facets(points, hull_facets(points))
+    for pt in points:
+        others = [q for q in points if q != pt]
+        assert (not _in_convex_hull(pt, others)) == by_facets[pt]
+    assert not all(by_facets.values())
+
+
+@pytest.mark.slow
+def test_n6_vertex_census():
+    report = hull_report(6)
+    assert report.class_count == 156
+    assert report.distinct_point_count == 156
+    assert report.all_vertices
+
+
 def test_n5_facet_count_regression():
     report = hull_report(5, include_facets=True)
     assert len(report.facets) == 552
