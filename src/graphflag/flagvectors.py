@@ -2,10 +2,10 @@
 
 The verbose form comes from one recursion over labelled vertex subsets,
 f(S) = sum over v in S of w_S(v) f(S - v), with optional edges folded into
-the step weight, so no canonical form is searched.  The concise and subgraph
-forms are its images under the linear maps below (anchor-word inversion,
-coordinatewise rescaling); above MAX_VERBOSE_N vertices the concise form is
-summed over spanning subgraphs instead.  Also the complement transform, the
+the step weight, so no canonical form is searched.  The concise form is
+multiplicative over connected components, so it is the part-union product
+of each component's recursion, inverted through the anchor words; the
+subgraph form rescales it coordinatewise.  Also the complement transform, the
 total over all labelled graphs, basis sums for partitions, anchor words and
 the edge-removal word vector.  All inputs may be ordinary graphs,
 optional-edge graphs or formal graph sums (extended linearly).
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import SizeLimitError
@@ -24,16 +23,14 @@ from .graphs import (
     GraphSum,
     OptionalGraph,
     bit_indices,
-    connected_partition,
+    component_masks,
     expand,
 )
 from .partitions import Partition, enumerate_partitions, multinomial
-from .shellings import enumerate_shellings, tree_shelling_number, verbose_contribution
+from .shellings import MAX_SHELLING_N, enumerate_shellings, verbose_contribution
 from .vectors import ConciseVector, EdgeWordVector, VerboseVector
 
-MAX_VERBOSE_N = 8
-MAX_SUBSET_EDGES = 22
-MAX_SUBGRAPH_N = 7
+MAX_VERBOSE_N = 12  # whole graph for verbose, each component for concise
 MAX_TOTAL_N = 20
 MAX_BASIS_PART = 9
 MAX_EDGE_FLAG_EDGES = 7
@@ -74,8 +71,8 @@ def _words(n: int) -> tuple[str, ...]:
     )
 
 
-def _verbose_dp(og: OptionalGraph) -> list[int]:
-    """Verbose coefficients of og, indexed as in _words(og.n).
+def _verbose_dp(og: OptionalGraph) -> VerboseVector:
+    """Verbose vector of one labelled optional graph.
 
     f(S) is the sum over v in S of w_S(v) f(S - v), the letter of v leading.
     Each optional edge is charged to the endpoint removed first, so the
@@ -105,20 +102,14 @@ def _verbose_dp(og: OptionalGraph) -> list[int]:
             (list(map(sum, zip(*a_tails))) if a_tails else zero)
             + (list(map(sum, zip(*b_tails))) if b_tails else zero)
         )
-    return f[-1]
-
-
-def _as_sum(g: GraphLike) -> GraphSum:
-    if isinstance(g, GraphSum):
-        return g
-    if isinstance(g, OptionalGraph):
-        return expand(g)
-    return GraphSum.from_graph(g)
+    return VerboseVector(og.n, dict(zip(_words(og.n), f[-1])))
 
 
 def _verbose_by_shellings(g: GraphLike) -> dict[str, int]:
+    if isinstance(g, OptionalGraph):
+        g = expand(g)
     coeffs: dict[str, int] = {}
-    for term, coeff in _as_sum(g).items():
+    for term, coeff in g.items() if isinstance(g, GraphSum) else [(g, 1)]:
         for order in enumerate_shellings(term):
             for w, c in verbose_contribution(term, order).items():
                 coeffs[w] = coeffs.get(w, 0) + coeff * c
@@ -136,64 +127,76 @@ def verbose_flag_vector(g: GraphLike, method: str = "recursion") -> VerboseVecto
     if method not in ("recursion", "shelling_sum"):
         raise ValueError(f"unknown method {method!r}")
     terms = _terms(g)
-    if g.n > MAX_VERBOSE_N:
+    bound = MAX_VERBOSE_N if method == "recursion" else MAX_SHELLING_N
+    if g.n > bound:
         raise SizeLimitError(
-            f"verbose flag vectors support n <= {MAX_VERBOSE_N}, got n={g.n}"
+            f"verbose flag vectors by {method} support n <= {bound}, got n={g.n}"
         )
     if method == "shelling_sum":
         return VerboseVector(g.n, _verbose_by_shellings(g))
-    total = [0] * (1 << g.n)
+    total = VerboseVector(g.n)
     for og, coeff in terms:
-        for w, c in enumerate(_verbose_dp(og)):
-            total[w] += coeff * c
-    return VerboseVector(g.n, dict(zip(_words(g.n), total)))
+        total += coeff * _verbose_dp(og)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # concise and subgraph forms
 
-def _subgraph_sum(g: Graph | OptionalGraph, weight) -> ConciseVector:
-    """Sum of weight(H) times the component partition of H over edge sets H.
+def _component(og: OptionalGraph, comp: int) -> OptionalGraph:
+    # the part of og on the vertex set comp, relabelled to 0..k-1 in order
+    index = {v: k for k, v in enumerate(bit_indices(comp))}
 
-    For a Graph, H runs over all subsets of its edges.  For an OptionalGraph,
-    H runs over the optional edges plus any subset of the regular ones, which
-    is its inclusion-exclusion expansion summed term by term.  The concise
-    form is the sum weighted by tree_shelling_number, the subgraph form the
-    one weighted by acyclic_shelling_number.
-    """
-    if isinstance(g, Graph):
-        g = OptionalGraph.from_graph(g)
-    edges = sorted(g.regular)
-    if len(edges) + len(g.optional) > MAX_SUBSET_EDGES:
+    def inside(edges):
+        return frozenset((index[i], index[j]) for i, j in edges if comp >> i & 1)
+
+    return OptionalGraph(len(index), inside(og.regular), inside(og.optional))
+
+
+@lru_cache(maxsize=512)
+def _partition(parts: tuple[int, ...]) -> Partition:
+    # one shared key object per partition, however many vectors hold it
+    return Partition(parts)
+
+
+def _concise_term(og: OptionalGraph) -> dict[Partition, int]:
+    comps = component_masks(Graph(og.n, og.regular | og.optional).neighbor_masks())
+    big = max((c.bit_count() for c in comps), default=0)
+    if big > MAX_VERBOSE_N:
         raise SizeLimitError(
-            f"spanning-subgraph sums support at most {MAX_SUBSET_EDGES} edges, "
-            f"got {len(edges) + len(g.optional)}"
+            f"components of at most {MAX_VERBOSE_N} vertices supported, got {big}"
         )
-    coeffs: dict[Partition, int] = {}
-    for mask in range(1 << len(edges)):
-        h = Graph(g.n, g.optional.union(edges[k] for k in bit_indices(mask)))
-        s = weight(h)
-        if s:
-            part = connected_partition(h)
-            coeffs[part] = coeffs.get(part, 0) + s
-    return ConciseVector(g.n, coeffs)
+    coeffs: dict[tuple[int, ...], int] = {(): 1}
+    ones = 0  # an isolated vertex only adds the part 1
+    for comp in comps:
+        if comp & (comp - 1) == 0:
+            ones += 1
+            continue
+        vec = concise_from_verbose(_verbose_dp(_component(og, comp)))
+        product: dict[tuple[int, ...], int] = {}
+        for parts, c in coeffs.items():
+            for part, d in vec.items():
+                key = tuple(sorted(parts + part.parts, reverse=True))
+                product[key] = product.get(key, 0) + c * d
+        coeffs = product
+    return {_partition(parts + (1,) * ones): c for parts, c in coeffs.items()}
 
 
 def concise_flag_vector(g: GraphLike) -> ConciseVector:
     """Partition-indexed flag vector.
 
     Every edge subset H contributes its tree shelling number times the
-    partition of component sizes; cyclic subsets contribute nothing.  Up to
-    MAX_VERBOSE_N vertices the sum is found by inverting the verbose form;
-    above, it is summed over the edge subsets (at most MAX_SUBSET_EDGES).
+    partition of component sizes; cyclic subsets contribute nothing.  Both
+    factor over connected components, so each component (at most
+    MAX_VERBOSE_N vertices, regular and optional edges alike) is inverted
+    from its own verbose recursion and the products of their coefficients
+    are filed under the unions of their parts.  Any n is accepted.
     """
-    terms = _terms(g)
-    if g.n <= MAX_VERBOSE_N:
-        return concise_from_verbose(verbose_flag_vector(g))
-    total = ConciseVector(g.n)
-    for og, coeff in terms:
-        total += coeff * _subgraph_sum(og, tree_shelling_number)
-    return total
+    total: dict[Partition, int] = {}
+    for og, coeff in _terms(g):
+        for part, c in _concise_term(og).items():
+            total[part] = total.get(part, 0) + coeff * c
+    return ConciseVector(g.n, total)
 
 
 def subgraph_flag_vector(g: GraphLike) -> ConciseVector:
@@ -203,18 +206,10 @@ def subgraph_flag_vector(g: GraphLike) -> ConciseVector:
     vertex set) times the partition of component sizes.  Computed as the
     inverse of scale_subgraph_to_concise applied to the concise form.
     """
-    _terms(g)  # type check before reading g.n
-    if g.n > MAX_SUBGRAPH_N:
-        raise SizeLimitError(
-            f"subgraph flag vectors support n <= {MAX_SUBGRAPH_N}, got n={g.n}"
-        )
-    return ConciseVector(
-        g.n,
-        {
-            part: c * multinomial(g.n, part.parts) * _part_scale(part)
-            for part, c in concise_flag_vector(g).items()
-        },
-    )
+    concise = concise_flag_vector(g)
+    n = concise.n
+    scaled = {p: c * multinomial(n, p.parts) * _part_scale(p) for p, c in concise.items()}
+    return ConciseVector(n, scaled)
 
 
 def scale_subgraph_to_concise(v: ConciseVector) -> ConciseVector:
@@ -240,7 +235,7 @@ def scale_subgraph_to_concise(v: ConciseVector) -> ConciseVector:
 # ---------------------------------------------------------------------------
 # conversions between verbose and concise
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=512)  # holds every partition of 0..MAX_VERBOSE_N
 def shuffle(partition: Partition) -> VerboseVector:
     """Sum of all interleavings of the words b^(part-1) a, one per part.
 
@@ -305,31 +300,29 @@ def _anchor_system(n: int):
     return order, anchors, rows
 
 
-def concise_from_verbose(v: VerboseVector, check: bool = True) -> ConciseVector:
+def concise_from_verbose(v: VerboseVector) -> ConciseVector:
     """Invert verbose_from_concise using the anchor-word coordinates.
 
     Ordered by anchor word the system is triangular with nonzero diagonal, so
-    the concise coefficients are determined by forward substitution.  With
-    check=True the result is re-expanded and compared against every
+    the concise coefficients are determined by forward substitution in
+    integers.  The result is re-expanded and compared against every
     coordinate of the input; a mismatch means the input lies outside the span
     of graph flag vectors.
     """
     order, anchors, rows = _anchor_system(v.n)
-    coeffs: list[Fraction] = []
+    coeffs: list[int] = []
     for j in range(len(order)):
-        rhs = Fraction(v.coefficient(anchors[j]))
-        for i in range(j):
-            rhs -= coeffs[i] * rows[i][j]
-        coeffs.append(rhs / rows[j][j])
-    if any(c.denominator != 1 for c in coeffs):
-        raise ValueError(
-            "anchor coordinates give non-integral concise coefficients; "
-            "input is outside the integral span"
-        )
-    result = ConciseVector(
-        v.n, {p: int(c) for p, c in zip(order, coeffs) if c}
-    )
-    if check and verbose_from_concise(result) != v:
+        rhs = v.coefficient(anchors[j])
+        rhs -= sum(coeffs[i] * rows[i][j] for i in range(j))
+        q, r = divmod(rhs, rows[j][j])
+        if r:
+            raise ValueError(
+                "anchor coordinates give non-integral concise coefficients; "
+                "input is outside the integral span"
+            )
+        coeffs.append(q)
+    result = ConciseVector(v.n, {p: c for p, c in zip(order, coeffs) if c})
+    if verbose_from_concise(result) != v:
         raise ValueError(
             "verbose vector is inconsistent with its anchor coordinates; "
             "input is outside the span of graph flag vectors"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ MAX_CANONICAL_N = 10          # exhaustive n! relabelling search
 MAX_OPTIONAL_CANONICAL_N = 9  # base-3 packed keys must fit in int64
 MAX_ENUMERATE_N = 7
 MAX_EXPAND_OPTIONAL = 20
+MAX_COMPLEMENT_N = 256
 
 _PERM_CHUNK = 40320  # cap on the relabelling work array for n >= 9
 
@@ -95,19 +96,6 @@ class Graph:
         for i, j in self.edges:
             a[i, j] = a[j, i] = 1
         return a
-
-    def remove_vertex(self, v: int) -> "Graph":
-        """Delete vertex v and its edges, relabelling higher vertices down."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"no vertex {v} in a graph on {self.n} vertices")
-
-        def shift(u: int) -> int:
-            return u - 1 if u > v else u
-
-        edges = frozenset(
-            (shift(i), shift(j)) for i, j in self.edges if v not in (i, j)
-        )
-        return Graph(self.n - 1, edges)
 
     def relabel(self, perm: tuple[int, ...]) -> "Graph":
         """Apply a vertex relabelling, perm[old] = new."""
@@ -370,14 +358,13 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(found[k] for k in sorted(found))
 
 
-def connected_partition(g: Graph) -> Partition:
-    """Connected-component sizes of g, as a partition of n."""
-    masks = g.neighbor_masks()
-    unseen = (1 << g.n) - 1
-    sizes = []
+def component_masks(masks: Sequence[int]) -> list[int]:
+    """Connected components of the graph with these per-vertex neighbour
+    masks, as vertex bitmasks in order of their least vertex."""
+    unseen = (1 << len(masks)) - 1
+    comps = []
     while unseen:
-        comp = unseen & -unseen
-        frontier = comp
+        comp = frontier = unseen & -unseen
         while frontier:
             grow = 0
             for v in bit_indices(frontier):
@@ -385,8 +372,14 @@ def connected_partition(g: Graph) -> Partition:
             frontier = grow & ~comp
             comp |= frontier
         unseen &= ~comp
-        sizes.append(comp.bit_count())
-    return Partition.from_sizes(sizes)
+        comps.append(comp)
+    return comps
+
+
+def connected_partition(g: Graph) -> Partition:
+    """Connected-component sizes of g, as a partition of n."""
+    comps = component_masks(g.neighbor_masks())
+    return Partition.from_sizes(c.bit_count() for c in comps)
 
 
 class GraphSum:
@@ -504,4 +497,8 @@ def expand(og: OptionalGraph) -> GraphSum:
 
 def complement(g: Graph) -> Graph:
     """The graph on the same vertices whose edges are exactly the non-edges."""
+    if g.n > MAX_COMPLEMENT_N:
+        raise SizeLimitError(
+            f"complement supports n <= {MAX_COMPLEMENT_N}, got n={g.n}"
+        )
     return Graph(g.n, frozenset(pair_order(g.n)) - g.edges)

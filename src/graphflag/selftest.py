@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .exactlin import RationalMatrix, kernel_basis
 from .flagvectors import (
-    _subgraph_sum,
     anchor_word,
     basis_graph,
     complement_transform,
@@ -31,7 +30,9 @@ from .flagvectors import (
 from .graphs import (
     Graph,
     OptionalGraph,
+    bit_indices,
     complement,
+    connected_partition,
     enumerate_graphs,
     expand,
     pair_order,
@@ -53,6 +54,24 @@ class CriterionResult:
     passed: bool
     seconds: float
     detail: str
+
+
+def _subgraph_sum(g: Graph | OptionalGraph, weight) -> ConciseVector:
+    """Sum of weight(H) times the component partition of H, over the edge
+    sets H holding every optional edge and any subset of the regular ones:
+    the concise form's definition weighted by tree_shelling_number, the
+    subgraph form's by acyclic_shelling_number."""
+    if isinstance(g, Graph):
+        g = OptionalGraph.from_graph(g)
+    edges = sorted(g.regular)
+    coeffs: dict[Partition, int] = {}
+    for mask in range(1 << len(edges)):
+        h = Graph(g.n, g.optional.union(edges[k] for k in bit_indices(mask)))
+        s = weight(h)
+        if s:
+            part = connected_partition(h)
+            coeffs[part] = coeffs.get(part, 0) + s
+    return ConciseVector(g.n, coeffs)
 
 
 def _graph(n: int, *edges) -> Graph:

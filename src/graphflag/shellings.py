@@ -11,7 +11,7 @@ import itertools
 from typing import Iterator
 
 from .errors import SizeLimitError
-from .graphs import Graph, bit_indices
+from .graphs import Graph, bit_indices, component_masks
 from .vectors import VerboseVector
 
 Shelling = tuple[int, ...]
@@ -84,18 +84,8 @@ def tree_shelling_number(g: Graph) -> int:
     makes the whole count zero.
     """
     masks = g.neighbor_masks()
-    unseen = (1 << g.n) - 1
     total = 1
-    while unseen:
-        comp = unseen & -unseen
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in bit_indices(frontier):
-                grow |= masks[v]
-            frontier = grow & ~comp
-            comp |= frontier
-        unseen &= ~comp
+    for comp in component_masks(masks):
         size = comp.bit_count()
         edge_count = sum((masks[v] & comp).bit_count() for v in bit_indices(comp)) // 2
         if edge_count != size - 1:

@@ -157,6 +157,26 @@ def test_out_of_bound_n_refused_before_work(capsys):
     assert code == 2 and "size limit" in err
     code, _, err = run(capsys, "enumerate", "--n", "-1")
     assert code == 1 and "usage error" in err
+    code, _, err = run(capsys, "complement", "--graph", "3000:")
+    assert code == 2 and "size limit" in err
+    code, _, err = run(capsys, "flagvec", "--form", "verbose", "--graph", "13:")
+    assert code == 2 and "size limit" in err
+    code, _, err = run(
+        capsys, "flagvec", "--form", "verbose", "--graph", "9:", "--method", "shelling"
+    )
+    assert code == 2 and "size limit" in err
+    path13 = "13:" + ",".join(f"{i}-{i + 1}" for i in range(12))
+    for form in ("concise", "subgraph"):
+        code, _, err = run(capsys, "flagvec", "--form", form, "--graph", path13)
+        assert code == 2 and "size limit" in err
+    for command in ("hull", "rank", "nullspace"):
+        extra = ("--mode", "vertices") if command == "hull" else ()
+        code, _, err = run(capsys, command, "--n", "7", *extra)
+        assert code == 2 and "size limit" in err
+    code, _, err = run(capsys, "basis", "--partition", "[10]")
+    assert code == 2 and "size limit" in err
+    code, _, err = run(capsys, "edgeflag", "--graph", path13)
+    assert code == 2 and "size limit" in err
     assert time.perf_counter() - start < 1.0
 
 

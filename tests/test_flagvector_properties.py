@@ -7,7 +7,9 @@ tree or acyclic shelling numbers, and the inclusion-exclusion expansion.
 """
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,11 @@ from graphflag import (
     ConciseVector,
     Graph,
     OptionalGraph,
+    Partition,
+    SizeLimitError,
     acyclic_shelling_number,
+    complement,
+    complement_transform,
     concise_flag_vector,
     connected_partition,
     expand,
@@ -25,8 +31,9 @@ from graphflag import (
     subgraph_flag_vector,
     tree_shelling_number,
     verbose_flag_vector,
+    verbose_from_concise,
 )
-from graphflag.flagvectors import _subgraph_sum
+from graphflag.selftest import _subgraph_sum
 
 
 @st.composite
@@ -128,3 +135,78 @@ def test_flag_vectors_search_no_canonical_form(monkeypatch):
     assert calls == []
     expand(og)  # canonicalises its terms, so the counter does see calls
     assert calls
+
+
+def _disjoint_union(a: OptionalGraph, b: OptionalGraph) -> OptionalGraph:
+    def shift(edges):
+        return frozenset((i + a.n, j + a.n) for i, j in edges)
+
+    return OptionalGraph(
+        a.n + b.n, a.regular | shift(b.regular), a.optional | shift(b.optional)
+    )
+
+
+def _part_union_product(u: ConciseVector, v: ConciseVector) -> ConciseVector:
+    coeffs = {}
+    for p, c in u.items():
+        for q, d in v.items():
+            key = Partition.from_sizes(p.parts + q.parts)
+            coeffs[key] = coeffs.get(key, 0) + c * d
+    return ConciseVector(u.n + v.n, coeffs)
+
+
+@settings(max_examples=30)
+@given(labelled_graphs(max_n=5), labelled_graphs(max_n=5))
+def test_concise_of_disjoint_union_is_the_part_union_product(a, b):
+    union = _disjoint_union(a, b)
+    product = _part_union_product(concise_flag_vector(a), concise_flag_vector(b))
+    assert concise_flag_vector(union) == product
+    # the whole-graph recursion never splits components
+    assert verbose_from_concise(product) == verbose_flag_vector(union)
+
+
+def test_concise_on_9_to_12_vertices_re_expands_to_the_recursion():
+    # no shelling oracle reaches these sizes; the whole-graph recursion and
+    # the complement transform are the independent paths
+    rng = random.Random(20261018)
+    connected = set()
+    for n, density in ((9, 0.2), (10, 0.35), (11, 0.15), (12, 0.12), (12, 0.3)):
+        g = Graph(n, frozenset(e for e in pair_order(n) if rng.random() < density))
+        connected.add(len(connected_partition(g).parts) == 1)
+        verbose = verbose_flag_vector(g)
+        assert verbose_from_concise(concise_flag_vector(g)) == verbose
+        assert complement_transform(verbose) == verbose_flag_vector(complement(g))
+    assert connected == {True, False}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "14:0-1,1-2,2-3,3-4,0-4,1-3,5-6,?6-7,7-8,9-10,10-11,9-11",
+        "20:0-1,1-2,2-3,3-4,4-0,6-7,7-8,?8-9,10-11,12-13,13-14,15-16,?17-18",
+    ],
+)
+def test_concise_with_small_components_matches_the_subset_sum(text):
+    og = parse_graph(text)
+    assert concise_flag_vector(og) == _subgraph_sum(og, tree_shelling_number)
+
+
+def test_component_above_the_bound_is_refused():
+    path13 = ",".join(f"{i}-{i + 1}" for i in range(12))
+    for text in (f"13:{path13}", f"20:{path13},14-15,?16-17"):
+        for form in (concise_flag_vector, subgraph_flag_vector):
+            with pytest.raises(SizeLimitError):
+                form(parse_graph(text))
+    # twelve vertices per component are inside the bound, at any n
+    two_paths = [(i, i + 1) for i in range(11)] + [(i, i + 1) for i in range(12, 23)]
+    vec = concise_flag_vector(Graph(24, frozenset(two_paths)))
+    assert vec.coefficient(Partition((12, 12))) == (2 ** 9) ** 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["8:0-1,1-2,2-3,3-0,4-5,5-6,1-6,2-7,6-7", "8:0-1,?1-2,2-3,3-4,4-5,?5-6,6-7,0-7,2-6"],
+)
+def test_subgraph_at_8_vertices_matches_the_acyclic_subset_sum(text):
+    og = parse_graph(text)
+    assert subgraph_flag_vector(og) == _subgraph_sum(og, acyclic_shelling_number)
