@@ -32,7 +32,7 @@ from .vectors import ConciseVector, EdgeWordVector, VerboseVector
 
 MAX_VERBOSE_N = 12  # whole graph for verbose, each component for concise
 MAX_TOTAL_N = 20
-MAX_BASIS_PART = 9
+MAX_BASIS_N = 8
 MAX_EDGE_FLAG_EDGES = 7
 
 GraphLike = Graph | OptionalGraph | GraphSum
@@ -426,10 +426,9 @@ def basis_graph(partition: Partition) -> GraphSum:
     twice the optional path minus the optional tripod.  Parts combine by
     disjoint union, distributed over the sums.
     """
-    if partition.parts and max(partition.parts) > MAX_BASIS_PART:
+    if partition.n > MAX_BASIS_N:
         raise SizeLimitError(
-            f"basis_graph supports parts <= {MAX_BASIS_PART}, "
-            f"got {max(partition.parts)}"
+            f"basis_graph supports n <= {MAX_BASIS_N}, got n={partition.n}"
         )
     out = GraphSum.from_graph(Graph(0, frozenset()))
     for m in partition.parts:

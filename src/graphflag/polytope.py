@@ -182,23 +182,32 @@ def _double_description(constraints: list[tuple[int, ...]]) -> list[tuple[int, .
     """Extreme rays of {x : c . x >= 0 for every c}, assuming the final cone
     is pointed.  Lineality is carried explicitly until constraints remove it.
 
-    Rays are primitive integer vectors paired with bitmasks of the processed
-    constraints tight on them; adjacency uses the standard combinatorial test
-    on those masks, with the cardinality necessary condition as a fast filter.
+    Each ray carries the bitmask of the processed constraints tight on it,
+    exact by construction and never recomputed:
+
+    - lineality vectors vanish on every processed constraint, so a ray
+      projected along one keeps its mask and gains the current bit, and the
+      lineality vector that becomes a ray is tight on every earlier one;
+    - a ray born from rays p and q is a positive combination of two rays
+      that are >= 0 on every processed constraint, so it is tight exactly on
+      masks[p] & masks[q] and on the current constraint.
+
+    Rays p and q are adjacent iff they are the only rays tight on every
+    constraint of masks[p] & masks[q] (the combinatorial test of Fukuda and
+    Prodon, 1996): the AND of those constraints' holder bitsets, after the
+    cardinality necessary condition as a fast filter.  A new ray lies inside
+    the 2-face its pair spans, so it repeats no survivor and no other new ray.
     """
     dim = len(constraints[0])
-    cons = [_primitive(c) for c in constraints]  # positive scaling keeps the cone
     lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []  # tight-constraint bitmask per ray
 
-    def tight_mask(vec: tuple[int, ...], upto: int) -> int:
-        return sum(1 << t for t in range(upto) if _dot(cons[t], vec) == 0)
-
-    for idx, c in enumerate(cons):
+    for idx, c in enumerate(constraints):
+        bit = 1 << idx
         line_vals = [_dot(c, v) for v in lineality]
-        if any(line_vals):
-            k = next(i for i, val in enumerate(line_vals) if val)
+        k = next((i for i, val in enumerate(line_vals) if val), None)
+        if k is not None:
             u, cu = lineality[k], line_vals[k]
             if cu < 0:
                 u, cu = tuple(-x for x in u), -cu
@@ -208,82 +217,67 @@ def _double_description(constraints: list[tuple[int, ...]]) -> list[tuple[int, .
                 for i, (v, cv) in enumerate(zip(lineality, line_vals))
                 if i != k
             ]
-            vectors = []
-            for r in rays:
-                cr = _dot(c, r)
-                r2 = tuple(cu * rx - cr * ux for rx, ux in zip(r, u))
-                if any(r2):
-                    vectors.append(_primitive(r2))
-            vectors.append(_primitive(u))
-            rays = vectors
-            masks = [tight_mask(r, idx + 1) for r in rays]
-        else:
-            vals = [_dot(c, r) for r in rays]
-            if any(v < 0 for v in vals):
-                plus = [i for i, v in enumerate(vals) if v > 0]
-                zero = [i for i, v in enumerate(vals) if v == 0]
-                minus = [i for i, v in enumerate(vals) if v < 0]
-                # in the quotient by the remaining lineality, adjacent extreme
-                # rays share at least quotient-dim - 2 tight constraints
-                need = dim - len(lineality) - 2
-                born: dict[tuple[int, ...], None] = {}
-                for p in plus:
-                    for q in minus:
-                        common = masks[p] & masks[q]
-                        if common.bit_count() < need:
-                            continue
-                        if any(
-                            r != p and r != q and common & masks[r] == common
-                            for r in range(len(rays))
-                        ):
-                            continue
-                        w = tuple(
-                            vals[p] * qx - vals[q] * px
-                            for px, qx in zip(rays[p], rays[q])
-                        )
-                        if any(w):
-                            born[_primitive(w)] = None
-                keep = plus + zero
-                survivors = [rays[i] for i in keep]
-                new_masks = [
-                    masks[i] | (1 << idx) if vals[i] == 0 else masks[i]
-                    for i in keep
-                ]
-                for w in born:
-                    if w not in survivors:
-                        survivors.append(w)
-                        new_masks.append(tight_mask(w, idx + 1))
-                rays, masks = survivors, new_masks
-            else:
-                masks = [
-                    mask | (1 << idx) if val == 0 else mask
-                    for mask, val in zip(masks, vals)
-                ]
+            rays = [
+                _primitive(tuple(cu * rx - _dot(c, r) * ux for rx, ux in zip(r, u)))
+                for r in rays
+            ]
+            rays.append(u)
+            masks = [mask | bit for mask in masks]
+            masks.append(bit - 1)
+            continue
+
+        vals = [_dot(c, r) for r in rays]
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        minus = [(i, masks[i]) for i, v in enumerate(vals) if v < 0]
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_masks = [m | bit if v == 0 else m for m, v in zip(masks, vals) if v >= 0]
+        if minus:
+            holders = [0] * idx  # bitset of the rays tight on each constraint
+            for i, mask in enumerate(masks):
+                for t in bit_indices(mask):
+                    holders[t] |= 1 << i
+            # in the quotient by the remaining lineality, adjacent extreme
+            # rays share at least quotient-dim - 2 tight constraints
+            need = dim - len(lineality) - 2
+            every_ray = (1 << len(rays)) - 1
+            for p in plus:
+                mask_p = masks[p]
+                for q, mask_q in minus:
+                    common = mask_p & mask_q
+                    if common.bit_count() < need:
+                        continue
+                    tight_on_common = every_ray
+                    for t in bit_indices(common):
+                        tight_on_common &= holders[t]
+                    if tight_on_common != 1 << p | 1 << q:
+                        continue
+                    w = tuple(
+                        vals[p] * qx - vals[q] * px
+                        for px, qx in zip(rays[p], rays[q])
+                    )
+                    new_rays.append(_primitive(w))
+                    new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
     return rays
 
 
 def _affine_chart(points: list[tuple[int, ...]]):
-    """Origin, integer chart and its denominator for the affine hull of
-    integer points.
+    """Origin and integer chart of the affine hull of integer points.
 
-    Returns (p0, chart, den) where chart / den maps ambient x to hull
-    coordinates t via t = chart . (x - p0) / den; the chart rows span the
-    difference space, so ambient inequality coefficients recovered through
-    it vanish on constant coordinates.
+    Returns (p0, chart): chart holds independent differences x - p0 of the
+    points, picked in order, that span the difference space.  So x maps to
+    hull coordinates chart . (x - p0), injectively on the hull, and a hull
+    functional y maps back to the ambient coefficients chart^T . y, which
+    vanish on coordinates constant across the points.
     """
     p0 = points[0]
     echelon = EchelonRows()
-    basis_rows: list[list[Fraction]] = []
+    chart = []
     for x in points[1:]:
-        row = echelon.add([a - b for a, b in zip(x, p0)])
-        if row is not None:
-            lead = next(v for v in row if v)
-            basis_rows.append([Fraction(v, lead) for v in row])
-    if not basis_rows:
-        return p0, None, 1
-    b = RationalMatrix(basis_rows)
-    chart = b.matmul(b.transpose()).inverse().matmul(b)
-    return (p0, *integer_rows(chart.to_rows()))
+        diff = [a - b for a, b in zip(x, p0)]
+        if echelon.add(diff) is not None:
+            chart.append(diff)
+    return p0, chart
 
 
 def hull_facets(points: Sequence) -> tuple[FacetInequality, ...]:
@@ -313,16 +307,16 @@ def hull_facets(points: Sequence) -> tuple[FacetInequality, ...]:
             f"hull_facets supports ambient dimension <= {MAX_FACET_DIM}, "
             f"got {ambient}"
         )
-    p0, chart, den = _affine_chart(unique)
-    if chart is None:
+    p0, chart = _affine_chart(unique)
+    if not chart:
         return ()
     diffs = [[a - b for a, b in zip(x, p0)] for x in unique]
-    rays = _double_description([(den, *(_dot(row, d) for row in chart)) for d in diffs])
+    rays = _double_description([(1, *(_dot(row, d) for row in chart)) for d in diffs])
 
     facets: list[tuple[int, ...]] = []
     for ray in rays:
         amb = [_dot(ray[1:], col) for col in zip(*chart)]
-        facets.append(_primitive(amb + [ray[0] * den - _dot(amb, p0)]))
+        facets.append(_primitive(amb + [ray[0] - _dot(amb, p0)]))
 
     # verify before returning: validity on all points and genuine facet rank
     for *coeffs, offset in facets:

@@ -173,8 +173,9 @@ def test_out_of_bound_n_refused_before_work(capsys):
         extra = ("--mode", "vertices") if command == "hull" else ()
         code, _, err = run(capsys, command, "--n", "7", *extra)
         assert code == 2 and "size limit" in err
-    code, _, err = run(capsys, "basis", "--partition", "[10]")
-    assert code == 2 and "size limit" in err
+    for partition in ("[10]", "[9]", "[5+5+1]"):
+        code, _, err = run(capsys, "basis", "--partition", partition)
+        assert code == 2 and "size limit" in err
     code, _, err = run(capsys, "edgeflag", "--graph", path13)
     assert code == 2 and "size limit" in err
     assert time.perf_counter() - start < 1.0

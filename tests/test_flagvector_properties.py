@@ -179,6 +179,18 @@ def test_concise_on_9_to_12_vertices_re_expands_to_the_recursion():
     assert connected == {True, False}
 
 
+@settings(max_examples=60)
+@given(labelled_graphs(max_n=8, max_edges=16, max_optional=4))
+def test_complement_transform_of_an_optional_graph(og):
+    # the complement keeps the optional edges, swaps regular edges with
+    # non-edges, and flips the sign once per optional edge
+    others = frozenset(pair_order(og.n)) - og.regular - og.optional
+    flipped = OptionalGraph(og.n, others, og.optional)
+    assert complement_transform(verbose_flag_vector(og)) == (
+        (-1) ** len(og.optional) * verbose_flag_vector(flipped)
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     [

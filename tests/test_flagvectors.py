@@ -317,7 +317,8 @@ def test_total_word_coefficients():
 
 
 def test_total_flag_vector_matches_brute_force():
-    for n in range(5):
+    # n = 5 checks total_word_coefficient on every word against 1024 graphs
+    for n in range(6):
         pairs = pair_order(n)
         totals = {}
         for mask in range(1 << len(pairs)):

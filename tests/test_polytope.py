@@ -1,11 +1,16 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphflag import (
     GraphSum,
     RationalMatrix,
     SizeLimitError,
+    class_concise_points,
     concise_flag_vector,
     enumerate_graphs,
     enumerate_partitions,
@@ -138,9 +143,6 @@ def _facet_tight_sets_oracle(points):
     tight set has facet rank.  A facet is determined by its tight set, so
     this representation compares across normal conventions.
     """
-    import itertools
-    from fractions import Fraction
-
     pts = [tuple(Fraction(x) for x in p) for p in dict.fromkeys(points)]
     ambient = len(pts[0])
     diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
@@ -189,6 +191,12 @@ def _facet_tight_sets(points, facets):
         [(0, 0), (1, 0), (0, 1), (1, 1)],
         [(0, 0), (1, 1), (2, 2)],
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        # a 4-dimensional hull with ray pairs that pass the cardinality
+        # filter without being adjacent
+        [
+            (0, 1, 1, 1), (1, 1, 2, 0), (2, 2, 0, 2), (1, 0, 2, 2),
+            (2, 2, 1, 1), (0, 2, 0, 0), (1, 2, 0, 1), (0, 0, 0, 2),
+        ],
     ],
 )
 def test_facets_match_subset_scanning_oracle(points):
@@ -199,11 +207,46 @@ def test_facets_match_subset_scanning_oracle(points):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_class_point_facets_match_oracle(n):
-    from graphflag import class_concise_points
-
     points = [coords for _, coords in class_concise_points(n)]
     facets = hull_facets(points)
     assert _facet_tight_sets(points, facets) == _facet_tight_sets_oracle(points)
+
+
+@st.composite
+def small_point_sets(draw):
+    """At most 8 points in dimension at most 4: integer and rational values,
+    repeated points, and optionally one constant coordinate and one that is
+    an integer combination of the others."""
+    constant = draw(st.booleans())
+    combined = draw(st.booleans())
+    free = draw(st.integers(1, 4 - constant - combined))
+    value = st.integers(-3, 3) | st.builds(
+        Fraction, st.integers(-6, 6), st.integers(1, 3)
+    )
+    points = draw(st.lists(st.tuples(*[value] * free), min_size=1, max_size=8))
+    points += draw(st.lists(st.sampled_from(points), max_size=8 - len(points)))
+    if combined:
+        weights = draw(st.lists(st.integers(-2, 2), min_size=free, max_size=free))
+        points = [p + (sum(w * x for w, x in zip(weights, p)),) for p in points]
+    if constant:
+        at = draw(st.integers(0, len(points[0])))
+        c = draw(value)
+        points = [p[:at] + (c,) + p[at:] for p in points]
+    return points
+
+
+@settings(max_examples=150)
+@given(small_point_sets())
+def test_facets_match_oracle_on_small_point_sets(points):
+    facets = hull_facets(points)
+    constant = [j for j in range(len(points[0])) if len({p[j] for p in points}) == 1]
+    assert all(coeffs[j] == 0 for coeffs, _ in facets for j in constant)
+    if len(set(points)) == 1:
+        assert facets == ()
+        return
+    oracle = _facet_tight_sets_oracle(points)
+    assert _facet_tight_sets(points, facets) == oracle
+    assert len(facets) == len(oracle)
 
 
 def _vertices_by_facets(points, facets):
@@ -264,6 +307,27 @@ def test_n6_vertex_census():
 def test_n5_facet_count_regression():
     report = hull_report(5, include_facets=True)
     assert len(report.facets) == 552
+
+
+def _triangle_free_class_points(n):
+    points = []
+    for g, coords in class_concise_points(n):
+        triples = itertools.combinations(range(n), 3)
+        if not any({(a, b), (a, c), (b, c)} <= g.edges for a, b, c in triples):
+            points.append(coords)
+    return points
+
+
+def test_facets_of_28_triangle_free_6_vertex_classes():
+    # hull_facets verifies every facet in integers before returning
+    points = _triangle_free_class_points(6)
+    assert len(points) == 38
+    assert len(hull_facets(points[:28])) == 4692
+
+
+@pytest.mark.slow
+def test_facets_of_all_38_triangle_free_6_vertex_classes():
+    assert len(hull_facets(_triangle_free_class_points(6))) == 25236
 
 
 def test_facet_size_limits():
