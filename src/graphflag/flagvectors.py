@@ -31,6 +31,7 @@ from .shellings import MAX_SHELLING_N, enumerate_shellings, verbose_contribution
 from .vectors import ConciseVector, EdgeWordVector, VerboseVector
 
 MAX_VERBOSE_N = 12  # whole graph for verbose, each component for concise
+MAX_CONCISE_N = 4096  # whole graph for concise and subgraph
 MAX_TOTAL_N = 20
 MAX_BASIS_N = 8
 MAX_EDGE_FLAG_EDGES = 7
@@ -71,6 +72,24 @@ def _words(n: int) -> tuple[str, ...]:
     )
 
 
+def _slot_bytes(bound: int) -> int:
+    # whole bytes per packed slot holding values 0..bound
+    return (bound.bit_length() + 7) // 8
+
+
+def _unpack(n: int, packed: int, width: int) -> dict[str, int]:
+    """The slots of a packed vector over the length-n words, zeros included.
+
+    Slot i, of `width` bytes from byte i * width, holds the non-negative
+    coefficient of word i of _words(n).
+    """
+    raw = packed.to_bytes(width << n, "little")
+    return {
+        w: int.from_bytes(raw[i * width : (i + 1) * width], "little")
+        for i, w in enumerate(_words(n))
+    }
+
+
 def _verbose_dp(og: OptionalGraph) -> VerboseVector:
     """Verbose vector of one labelled optional graph.
 
@@ -80,29 +99,43 @@ def _verbose_dp(og: OptionalGraph) -> VerboseVector:
     product of their indicators, which is multilinear: with r regular and o
     optional edges from v into S - v, w_S(v) is a + r b when o = 0, b when
     o = 1 and 0 when o >= 2.
+
+    Each f(S) is one integer holding its 2^|S| coefficients in slots of W
+    bits, word i at bits [i W, (i + 1) W); the a-words fill the low half and
+    the b-words the high half, so a step is a few big-integer additions.
+    Every weight is non-negative, so no slot of f(S) exceeds T(S), the sum
+    of its coefficients.  The coefficients of w_S(v) sum to 1 + r <= 1 + d,
+    d the largest regular degree, or to 1 or 0, so T(S) <= |S| (1 + d)
+    max_v T(S - v), and from T({}) = 1 every T(S) <= n! (1 + d)^n (72 bits
+    at K12).  W is that bound's width rounded up to whole bytes, so no slot
+    carries into the next and f(full) unpacks bytewise.
     """
-    reg = Graph(og.n, og.regular).neighbor_masks()
-    opt = Graph(og.n, og.optional).neighbor_masks()
-    f = [[1]]  # f[S] has 2^|S| entries; the a-words fill its first half
-    for s in range(1, 1 << og.n):
-        a_tails, b_tails = [], []
-        for v in bit_indices(s):
-            rest = s ^ (1 << v)
-            o = (opt[v] & rest).bit_count()
-            tail = f[rest]
-            if o == 0:
-                a_tails.append(tail)
+    n = og.n
+    reg = Graph(n, og.regular).neighbor_masks()
+    opt = Graph(n, og.optional).neighbor_masks()
+    d = max((m.bit_count() for m in reg), default=0)
+    width = _slot_bytes(math.factorial(n) * (1 + d) ** n)
+    bits = 8 * width
+    f = [1]
+    for s in range(1, 1 << n):
+        a = b = 0
+        m = s
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            rest = s ^ low
+            o = opt[v] & rest
+            if not o:
+                tail = f[rest]
+                a += tail
                 r = (reg[v] & rest).bit_count()
                 if r:
-                    b_tails.append(tail if r == 1 else [r * y for y in tail])
-            elif o == 1:
-                b_tails.append(tail)
-        zero = [0] * (1 << (s.bit_count() - 1))
-        f.append(
-            (list(map(sum, zip(*a_tails))) if a_tails else zero)
-            + (list(map(sum, zip(*b_tails))) if b_tails else zero)
-        )
-    return VerboseVector(og.n, dict(zip(_words(og.n), f[-1])))
+                    b += tail if r == 1 else r * tail
+            elif not o & (o - 1):  # exactly one optional edge
+                b += f[rest]
+        f.append(a | b << (bits << (s.bit_count() - 1)))
+    return VerboseVector._raw(n, _unpack(n, f[-1], width))
 
 
 def _verbose_by_shellings(g: GraphLike) -> dict[str, int]:
@@ -133,7 +166,7 @@ def verbose_flag_vector(g: GraphLike, method: str = "recursion") -> VerboseVecto
             f"verbose flag vectors by {method} support n <= {bound}, got n={g.n}"
         )
     if method == "shelling_sum":
-        return VerboseVector(g.n, _verbose_by_shellings(g))
+        return VerboseVector._raw(g.n, _verbose_by_shellings(g))
     total = VerboseVector(g.n)
     for og, coeff in terms:
         total += coeff * _verbose_dp(og)
@@ -190,10 +223,17 @@ def concise_flag_vector(g: GraphLike) -> ConciseVector:
     factor over connected components, so each component (at most
     MAX_VERBOSE_N vertices, regular and optional edges alike) is inverted
     from its own verbose recursion and the products of their coefficients
-    are filed under the unions of their parts.  Any n is accepted.
+    are filed under the unions of their parts.  The whole graph may have
+    up to MAX_CONCISE_N vertices.
     """
+    terms = _terms(g)
+    if g.n > MAX_CONCISE_N:
+        raise SizeLimitError(
+            f"concise and subgraph flag vectors support n <= {MAX_CONCISE_N}, "
+            f"got n={g.n}"
+        )
     total: dict[Partition, int] = {}
-    for og, coeff in _terms(g):
+    for og, coeff in terms:
         for part, c in _concise_term(og).items():
             total[part] = total.get(part, 0) + coeff * c
     return ConciseVector(g.n, total)
@@ -240,29 +280,31 @@ def shuffle(partition: Partition) -> VerboseVector:
     """Sum of all interleavings of the words b^(part-1) a, one per part.
 
     Parts are treated as distinguishable components, so the total coefficient
-    mass equals the multinomial coefficient of the part sizes.
+    mass equals the multinomial coefficient of the part sizes.  Suffix sums
+    are packed as in _verbose_dp; every slot is at most that mass <= n!.
     """
+    n = partition.n
     words = tuple("b" * (m - 1) + "a" for m in partition.parts)
-    memo: dict[tuple[int, ...], dict[str, int]] = {}
+    width = _slot_bytes(math.factorial(n))
+    bits = 8 * width
+    memo: dict[tuple[int, ...], int] = {}
 
-    def merge(pos: tuple[int, ...]) -> dict[str, int]:
-        if all(p == len(w) for p, w in zip(pos, words)):
-            return {"": 1}
+    def merge(pos: tuple[int, ...], left: int) -> int:
+        # packed sum of the interleavings of what remains after pos
+        if not left:
+            return 1
         got = memo.get(pos)
         if got is not None:
             return got
-        out: dict[str, int] = {}
+        out = 0
         for k, w in enumerate(words):
             if pos[k] < len(w):
-                nxt = merge(pos[:k] + (pos[k] + 1,) + pos[k + 1 :])
-                letter = w[pos[k]]
-                for suffix, c in nxt.items():
-                    key = letter + suffix
-                    out[key] = out.get(key, 0) + c
+                nxt = merge(pos[:k] + (pos[k] + 1,) + pos[k + 1 :], left - 1)
+                out += nxt << (bits << (left - 1)) if w[pos[k]] == "b" else nxt
         memo[pos] = out
         return out
 
-    return VerboseVector(partition.n, merge((0,) * len(words)))
+    return VerboseVector._raw(n, _unpack(n, merge((0,) * len(words), n), width))
 
 
 def verbose_from_concise(v: ConciseVector) -> VerboseVector:
@@ -276,7 +318,7 @@ def verbose_from_concise(v: ConciseVector) -> VerboseVector:
         scale = c * _part_scale(part)
         for w, k in shuffle(part).items():
             total[w] = total.get(w, 0) + scale * k
-    return VerboseVector(v.n, total)
+    return VerboseVector._raw(v.n, total)
 
 
 def anchor_word(partition: Partition) -> str:
@@ -358,7 +400,7 @@ def complement_transform(v: VerboseVector) -> VerboseVector:
             acc = nxt
         for w, c in acc.items():
             total[w] = total.get(w, 0) + c
-    return VerboseVector(n, total)
+    return VerboseVector._raw(n, total)
 
 
 def total_word_coefficient(n: int, word: str) -> int:
@@ -393,7 +435,7 @@ def total_flag_vector(n: int) -> VerboseVector:
         c = total_word_coefficient(n, w)
         if c:
             coeffs[w] = c
-    return VerboseVector(n, coeffs)
+    return VerboseVector._raw(n, coeffs)
 
 
 # ---------------------------------------------------------------------------

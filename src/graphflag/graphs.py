@@ -7,7 +7,8 @@ is "n:bitstring" with one bit per pair in that order.
 
 Canonical forms are found by exhaustive search over all n! relabellings
 (vectorised with numpy, but still the plain exhaustive search), taking the
-lexicographically least adjacency bitstring.
+lexicographically least adjacency bitstring.  numpy is imported by that
+search alone, so parsing and flag vectors never load it.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import GraphParseError, SizeLimitError
 from .partitions import Partition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Edge = tuple[int, int]
 
@@ -90,12 +92,6 @@ class Graph:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         return tuple(masks)
-
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.uint8)
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1
-        return a
 
     def relabel(self, perm: tuple[int, ...]) -> "Graph":
         """Apply a vertex relabelling, perm[old] = new."""
@@ -237,12 +233,16 @@ def parse_graph(text: str) -> OptionalGraph:
 
 @lru_cache(maxsize=8)
 def _perm_array(n: int) -> np.ndarray:
+    import numpy as np
+
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(
         -1, n
     )
 
 
 def _perm_chunks(n: int) -> Iterator[np.ndarray]:
+    import numpy as np
+
     if n <= 8:
         yield _perm_array(n)
         return
@@ -256,6 +256,8 @@ def _perm_chunks(n: int) -> Iterator[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _pair_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     pairs = pair_order(n)
     i_idx = np.array([p[0] for p in pairs], dtype=np.int64)
     j_idx = np.array([p[1] for p in pairs], dtype=np.int64)
@@ -264,6 +266,8 @@ def _pair_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _powers(base: int, m: int) -> np.ndarray:
+    import numpy as np
+
     return np.array([base ** (m - 1 - k) for k in range(m)], dtype=np.int64)
 
 
@@ -274,13 +278,19 @@ def _inverse_perm(q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(rho)
 
 
-def _min_relabelling(n: int, value_matrix: np.ndarray, base: int):
-    """Least packed key over all relabellings of a symmetric value matrix.
+def _min_relabelling(n: int, values: dict[Edge, int], base: int):
+    """Least packed key over all relabellings of per-pair values in 0..base-1.
 
-    Returns (per-pair values of the least relabelling, witness q with
-    q[new] = old).  Ties resolve to the first permutation in lexicographic
-    order, so the result is deterministic.
+    `values` maps each pair with a nonzero value to it.  Returns (per-pair
+    values of the least relabelling, witness q with q[new] = old).  Ties
+    resolve to the first permutation in lexicographic order, so the result
+    is deterministic.
     """
+    import numpy as np
+
+    value_matrix = np.zeros((n, n), dtype=np.uint8)
+    for (i, j), x in values.items():
+        value_matrix[i, j] = value_matrix[j, i] = x
     i_idx, j_idx = _pair_gather(n)
     weights = _powers(base, len(i_idx))
     best_key = None
@@ -310,7 +320,7 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
         )
     if n <= 1 or not g.edges:
         return g, tuple(range(n))
-    row, q = _min_relabelling(n, g.adjacency_matrix(), 2)
+    row, q = _min_relabelling(n, dict.fromkeys(g.edges, 1), 2)
     edges = frozenset(
         pair for pair, bit in zip(pair_order(n), row) if bit
     )
@@ -326,8 +336,7 @@ def canonical_optional(og: OptionalGraph) -> tuple[OptionalGraph, tuple[int, ...
         )
     if n <= 1 or (not og.regular and not og.optional):
         return og, tuple(range(n))
-    trits = Graph(n, og.regular).adjacency_matrix().astype(np.int64)
-    trits += 2 * Graph(n, og.optional).adjacency_matrix().astype(np.int64)
+    trits = {**dict.fromkeys(og.regular, 1), **dict.fromkeys(og.optional, 2)}
     row, q = _min_relabelling(n, trits, 3)
     pairs = pair_order(n)
     regular = frozenset(p for p, t in zip(pairs, row) if t == 1)

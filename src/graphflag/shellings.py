@@ -122,7 +122,7 @@ def verbose_contribution(g: Graph, order: Shelling) -> VerboseVector:
             if m:
                 nxt[w + "b"] = c * m
         acc = nxt
-    return VerboseVector(g.n, acc)
+    return VerboseVector._raw(g.n, acc)
 
 
 def count_semiconcise_flags(g: Graph, word: str) -> int:

@@ -104,8 +104,17 @@ class VerboseVector(_FormalVector):
         self.n = n
         self._coeffs = _clean_word_coeffs(n, coeffs, "ab")
 
+    @classmethod
+    def _raw(cls, n: int, coeffs: dict) -> "VerboseVector":
+        """Internal: build from length-n words over a, b and integer values
+        the program produced itself, dropping zeros without re-checking."""
+        out = object.__new__(cls)
+        out.n = n
+        out._coeffs = {w: c for w, c in coeffs.items() if c}
+        return out
+
     def _with_coeffs(self, coeffs):
-        return VerboseVector(self.n, coeffs)
+        return VerboseVector._raw(self.n, coeffs)
 
     def _signature(self):
         return self.n

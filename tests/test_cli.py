@@ -167,8 +167,9 @@ def test_out_of_bound_n_refused_before_work(capsys):
     assert code == 2 and "size limit" in err
     path13 = "13:" + ",".join(f"{i}-{i + 1}" for i in range(12))
     for form in ("concise", "subgraph"):
-        code, _, err = run(capsys, "flagvec", "--form", form, "--graph", path13)
-        assert code == 2 and "size limit" in err
+        for graph in (path13, "1000000:0-1"):
+            code, _, err = run(capsys, "flagvec", "--form", form, "--graph", graph)
+            assert code == 2 and "size limit" in err
     for command in ("hull", "rank", "nullspace"):
         extra = ("--mode", "vertices") if command == "hull" else ()
         code, _, err = run(capsys, command, "--n", "7", *extra)

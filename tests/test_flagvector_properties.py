@@ -7,6 +7,7 @@ tree or acyclic shelling numbers, and the inclusion-exclusion expansion.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from graphflag import (
     OptionalGraph,
     Partition,
     SizeLimitError,
+    VerboseVector,
     acyclic_shelling_number,
     complement,
     complement_transform,
@@ -177,6 +179,39 @@ def test_concise_on_9_to_12_vertices_re_expands_to_the_recursion():
         assert verbose_from_concise(concise_flag_vector(g)) == verbose
         assert complement_transform(verbose) == verbose_flag_vector(complement(g))
     assert connected == {True, False}
+
+
+def test_complete_graphs_match_the_closed_form_up_to_the_bound():
+    # removing the i-th vertex (from 0) of K_n leaves it n - 1 - i neighbours
+    # and any of the n - i remaining vertices may go, so the word w has
+    # coefficient n! times the product of n - 1 - i over its b positions;
+    # the b^(n-1) a slot, 12! 11! at n = 12, is the largest any graph reaches
+    for n in range(13):
+        expected = {}
+        for letters in itertools.product("ab", repeat=n):
+            c = math.factorial(n)
+            for i, ch in enumerate(letters):
+                if ch == "b":
+                    c *= n - 1 - i
+            if c:
+                expected["".join(letters)] = c
+        complete = Graph(n, frozenset(pair_order(n)))
+        assert verbose_flag_vector(complete).to_mapping() == expected
+
+
+def test_optional_edges_of_k12_fold_to_the_signed_regular_sum():
+    # expand would canonicalise 12-vertex terms, past its bound, so the
+    # inclusion-exclusion sum over the optional edges is built here
+    optional = [(0, 1), (1, 2), (5, 11)]
+    regular = frozenset(pair_order(12)) - set(optional)
+    expected = VerboseVector(12)
+    for r in range(len(optional) + 1):
+        for pick in itertools.combinations(optional, r):
+            sign = (-1) ** (len(optional) - r)
+            expected += sign * verbose_flag_vector(Graph(12, regular | set(pick)))
+    og = OptionalGraph(12, regular, frozenset(optional))
+    assert verbose_flag_vector(og) == expected
+    assert not expected.is_zero
 
 
 @settings(max_examples=60)

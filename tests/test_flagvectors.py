@@ -36,6 +36,7 @@ from graphflag import (
     verbose_flag_vector,
     verbose_from_concise,
 )
+from graphflag.flagvectors import MAX_CONCISE_N
 from graphflag.selftest import _subgraph_sum
 from graphflag.vectors import EdgeWordVector
 
@@ -113,6 +114,17 @@ def test_flag_vectors_extend_linearly_over_sums():
 def test_verbose_size_limit():
     with pytest.raises(SizeLimitError):
         verbose_flag_vector(Graph(13, frozenset()))
+
+
+def test_concise_whole_graph_limit():
+    edge = frozenset({(0, 1)})
+    top = Partition((2,) + (1,) * (MAX_CONCISE_N - 2))
+    assert concise_flag_vector(Graph(MAX_CONCISE_N, edge)) == ConciseVector(
+        MAX_CONCISE_N, {Partition((1,) * MAX_CONCISE_N): 1, top: 1}
+    )
+    for form in (concise_flag_vector, subgraph_flag_vector):
+        with pytest.raises(SizeLimitError):
+            form(Graph(MAX_CONCISE_N + 1, edge))
 
 
 def test_verbose_rejects_unknown_method():

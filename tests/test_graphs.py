@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphflag
 from graphflag import (
     Graph,
     GraphParseError,
@@ -272,3 +277,33 @@ def test_serialize_round_trip():
         for g in enumerate_graphs(n):
             assert Graph.from_bitstring(n, g.bitstring()) == g
             assert parse_graph(g.to_text()).as_graph() == g
+
+
+_NUMPY_PROBE = """
+import sys
+from graphflag import (
+    canonical_form, canonical_optional, cli, concise_flag_vector, parse_graph,
+    subgraph_flag_vector, verbose_flag_vector,
+)
+og = parse_graph("8:0-1,1-2,2-3,3-4,4-5,5-6,6-7,1-6,?0-7,?2-5")
+for form in (verbose_flag_vector, concise_flag_vector, subgraph_flag_vector):
+    assert not form(og).is_zero
+assert cli.main(["flagvec", "--form", "concise", "--graph", "8:0-1,?1-2"]) == 0
+assert "numpy" not in sys.modules, "numpy loaded outside the canonical search"
+assert canonical_form(parse_graph("3:0-2").as_graph())[0].to_text() == "3:1-2"
+assert canonical_optional(parse_graph("3:?0-2,0-1"))[0].to_text() == "3:0-2,?1-2"
+assert "numpy" in sys.modules
+"""
+
+
+def test_numpy_is_loaded_by_the_canonical_search_alone():
+    src = str(Path(graphflag.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
