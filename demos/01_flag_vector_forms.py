@@ -9,9 +9,12 @@ and exhibits the single linear relation among them.
 """
 
 from graphflag import (
+    VerboseVector,
     concise_flag_vector,
+    enumerate_shellings,
     parse_graph,
     subgraph_flag_vector,
+    verbose_contribution,
     verbose_flag_vector,
 )
 
@@ -43,7 +46,11 @@ for label, form in [
 print("\nboth verbose methods agree")
 print("=" * 60)
 g = parse_graph("5:0-1,1-2,2-3,3-4,0-4")
-rec = verbose_flag_vector(g, "recursion")
-sh = verbose_flag_vector(g, "shelling_sum")
+rec = verbose_flag_vector(g)
+# the definition: add up the words of every one of the 5! removal orders
+cycle = g.as_graph()
+sh = VerboseVector(5)
+for order in enumerate_shellings(cycle):
+    sh += verbose_contribution(cycle, order)
 print(f"  5-cycle, recursion == shelling sum: {rec == sh}")
 print(f"  {rec.to_text()}")

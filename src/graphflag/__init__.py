@@ -36,7 +36,6 @@ from .graphs import (
     GraphSum,
     OptionalGraph,
     canonical_form,
-    canonical_optional,
     complement,
     connected_partition,
     enumerate_graphs,
@@ -86,7 +85,6 @@ __all__ = [
     "anchor_word",
     "basis_graph",
     "canonical_form",
-    "canonical_optional",
     "class_concise_points",
     "complement",
     "complement_transform",

@@ -66,11 +66,6 @@ def build_parser() -> _Parser:
     p.add_argument("--form", required=True, choices=("verbose", "concise", "subgraph"))
     p.add_argument("--graph", help='graph text, e.g. "3:0-1" or "3:?0-1,?1-2"')
     p.add_argument("--graph-file", help="file with one graph per line; # comments")
-    p.add_argument(
-        "--method",
-        choices=("recursion", "shelling"),
-        help="verbose computation method (default: recursion)",
-    )
 
     p = sub.add_parser(
         "complement", parents=[common], help="complement graph, or its verbose vector"
@@ -132,28 +127,26 @@ def _load_graphs(args) -> list[tuple[str, object]]:
 
 
 def _cmd_flagvec(args):
-    if args.method and args.form != "verbose":
-        raise UsageError("--method only applies to --form verbose")
-    method = "shelling_sum" if args.method == "shelling" else "recursion"
     inputs = _load_graphs(args)
     results = []
     for label, og in inputs:
         if args.form == "verbose":
-            vec = verbose_flag_vector(og, method)
+            vec = verbose_flag_vector(og)
         elif args.form == "concise":
             vec = concise_flag_vector(og)
         else:
             vec = subgraph_flag_vector(og)
         results.append((label, vec))
+    # rendered lazily, in main, where integers of any length may be written
     if args.graph:
-        lines = [results[0][1].to_text()]
+        lines = (vec.to_text() for _, vec in results)
         payload = {
             "form": args.form,
             "graph": results[0][0],
             "coefficients": _vector_json(results[0][1]),
         }
     else:
-        lines = [f"{label}\t{vec.to_text()}" for label, vec in results]
+        lines = (f"{label}\t{vec.to_text()}" for label, vec in results)
         payload = {
             "form": args.form,
             "results": [
@@ -162,7 +155,7 @@ def _cmd_flagvec(args):
             ],
         }
     if args.form == "verbose":
-        payload["method"] = method
+        payload["method"] = "recursion"
     return lines, payload
 
 
@@ -341,11 +334,18 @@ def main(argv=None) -> int:
         return 1
     lines, payload = out[0], out[1]
     code = out[2] if len(out) > 2 else 0
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    # the program's own integers (bounded by MAX_CONCISE_N) may pass Python's
+    # digit limit on int to str; parsing the untrusted input kept that limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return code
 
 

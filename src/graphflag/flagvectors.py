@@ -27,7 +27,6 @@ from .graphs import (
     expand,
 )
 from .partitions import Partition, enumerate_partitions, multinomial
-from .shellings import MAX_SHELLING_N, enumerate_shellings, verbose_contribution
 from .vectors import ConciseVector, EdgeWordVector, VerboseVector
 
 MAX_VERBOSE_N = 12  # whole graph for verbose, each component for concise
@@ -138,35 +137,18 @@ def _verbose_dp(og: OptionalGraph) -> VerboseVector:
     return VerboseVector._raw(n, _unpack(n, f[-1], width))
 
 
-def _verbose_by_shellings(g: GraphLike) -> dict[str, int]:
-    if isinstance(g, OptionalGraph):
-        g = expand(g)
-    coeffs: dict[str, int] = {}
-    for term, coeff in g.items() if isinstance(g, GraphSum) else [(g, 1)]:
-        for order in enumerate_shellings(term):
-            for w, c in verbose_contribution(term, order).items():
-                coeffs[w] = coeffs.get(w, 0) + coeff * c
-    return coeffs
-
-
-def verbose_flag_vector(g: GraphLike, method: str = "recursion") -> VerboseVector:
+def verbose_flag_vector(g: GraphLike) -> VerboseVector:
     """Word-indexed flag vector of a graph, optional graph or graph sum.
 
-    Two equivalent methods: "recursion" runs the vertex-subset recursion
-    f(S) = sum over v in S of (a + deg_S(v) b) f(S - v) on the labelled
-    graph, with optional edges folded into the step weight; "shelling_sum"
-    expands optional edges and adds the contribution of every removal order.
+    The vertex-subset recursion f(S) = sum over v in S of (a + deg_S(v) b)
+    f(S - v) on each labelled term, with optional edges folded into the
+    step weight.
     """
-    if method not in ("recursion", "shelling_sum"):
-        raise ValueError(f"unknown method {method!r}")
     terms = _terms(g)
-    bound = MAX_VERBOSE_N if method == "recursion" else MAX_SHELLING_N
-    if g.n > bound:
+    if g.n > MAX_VERBOSE_N:
         raise SizeLimitError(
-            f"verbose flag vectors by {method} support n <= {bound}, got n={g.n}"
+            f"verbose flag vectors support n <= {MAX_VERBOSE_N}, got n={g.n}"
         )
-    if method == "shelling_sum":
-        return VerboseVector._raw(g.n, _verbose_by_shellings(g))
     total = VerboseVector(g.n)
     for og, coeff in terms:
         total += coeff * _verbose_dp(og)

@@ -26,8 +26,7 @@ if TYPE_CHECKING:
 
 Edge = tuple[int, int]
 
-MAX_CANONICAL_N = 10          # exhaustive n! relabelling search
-MAX_OPTIONAL_CANONICAL_N = 9  # base-3 packed keys must fit in int64
+MAX_CANONICAL_N = 10  # exhaustive n! relabelling search
 MAX_ENUMERATE_N = 7
 MAX_EXPAND_OPTIONAL = 20
 MAX_COMPLEMENT_N = 256
@@ -265,10 +264,10 @@ def _pair_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _powers(base: int, m: int) -> np.ndarray:
+def _powers(m: int) -> np.ndarray:
     import numpy as np
 
-    return np.array([base ** (m - 1 - k) for k in range(m)], dtype=np.int64)
+    return np.array([2 ** (m - 1 - k) for k in range(m)], dtype=np.int64)
 
 
 def _inverse_perm(q: tuple[int, ...]) -> tuple[int, ...]:
@@ -278,25 +277,24 @@ def _inverse_perm(q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(rho)
 
 
-def _min_relabelling(n: int, values: dict[Edge, int], base: int):
-    """Least packed key over all relabellings of per-pair values in 0..base-1.
+def _min_relabelling(n: int, edges: frozenset):
+    """Least adjacency bitstring over all relabellings, packed as a key.
 
-    `values` maps each pair with a nonzero value to it.  Returns (per-pair
-    values of the least relabelling, witness q with q[new] = old).  Ties
-    resolve to the first permutation in lexicographic order, so the result
-    is deterministic.
+    Returns (per-pair bits of the least relabelling, witness q with
+    q[new] = old).  Ties resolve to the first permutation in lexicographic
+    order, so the result is deterministic.
     """
     import numpy as np
 
-    value_matrix = np.zeros((n, n), dtype=np.uint8)
-    for (i, j), x in values.items():
-        value_matrix[i, j] = value_matrix[j, i] = x
+    adjacency = np.zeros((n, n), dtype=np.uint8)
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = 1
     i_idx, j_idx = _pair_gather(n)
-    weights = _powers(base, len(i_idx))
+    weights = _powers(len(i_idx))
     best_key = None
     best_perm = best_row = None
     for chunk in _perm_chunks(n):
-        rows = value_matrix[chunk[:, i_idx], chunk[:, j_idx]]
+        rows = adjacency[chunk[:, i_idx], chunk[:, j_idx]]
         keys = rows.astype(np.int64) @ weights
         pos = int(keys.argmin())
         if best_key is None or keys[pos] < best_key:
@@ -320,28 +318,11 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
         )
     if n <= 1 or not g.edges:
         return g, tuple(range(n))
-    row, q = _min_relabelling(n, dict.fromkeys(g.edges, 1), 2)
+    row, q = _min_relabelling(n, g.edges)
     edges = frozenset(
         pair for pair, bit in zip(pair_order(n), row) if bit
     )
     return Graph(n, edges), _inverse_perm(q)
-
-
-def canonical_optional(og: OptionalGraph) -> tuple[OptionalGraph, tuple[int, ...]]:
-    """Canonical form of an optional-edge graph (regular=1, optional=2 trits)."""
-    n = og.n
-    if n > MAX_OPTIONAL_CANONICAL_N:
-        raise SizeLimitError(
-            f"canonical_optional supports n <= {MAX_OPTIONAL_CANONICAL_N}, got n={n}"
-        )
-    if n <= 1 or (not og.regular and not og.optional):
-        return og, tuple(range(n))
-    trits = {**dict.fromkeys(og.regular, 1), **dict.fromkeys(og.optional, 2)}
-    row, q = _min_relabelling(n, trits, 3)
-    pairs = pair_order(n)
-    regular = frozenset(p for p, t in zip(pairs, row) if t == 1)
-    optional = frozenset(p for p, t in zip(pairs, row) if t == 2)
-    return OptionalGraph(n, regular, optional), _inverse_perm(q)
 
 
 @lru_cache(maxsize=None)

@@ -34,17 +34,26 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
-        """Parse bracket notation like "[2+1+1]"; "[]" is the empty partition."""
+        """Parse bracket notation like "[2+1+1]"; "[]" is the empty partition.
+
+        Parts are ASCII digits, spaces around them allowed.
+        """
         s = text.strip()
         if not (s.startswith("[") and s.endswith("]")):
             raise ValueError(f"partition text must look like [3+1], got {text!r}")
-        body = s[1:-1].strip()
-        if not body:
+        body = s[1:-1]
+        if not body.strip():
             return cls(())
-        try:
-            sizes = [int(tok) for tok in body.split("+")]
-        except ValueError:
-            raise ValueError(f"bad partition text {text!r}") from None
+        sizes = []
+        pos = text.index("[") + 1
+        for token in body.split("+"):
+            tok = token.strip()
+            # int() alone would also read "٣" and "1_0", str.isdigit "²"
+            if not (tok.isascii() and tok.isdigit()):
+                at = pos + token.find(tok)
+                raise ValueError(f"bad part {tok!r} at position {at} in {text!r}")
+            sizes.append(int(tok))
+            pos += len(token) + 1
         return cls.from_sizes(sizes)
 
     @property

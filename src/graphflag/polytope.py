@@ -8,6 +8,7 @@ analysed inside their affine hull.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,6 @@ from .graphs import (
     Graph,
     OptionalGraph,
     bit_indices,
-    canonical_optional,
     enumerate_graphs,
     expand,
     pair_order,
@@ -376,21 +376,39 @@ class NullspaceReport:
 
 def _single_cycle_optional_graphs(n: int):
     """Optional-edge graphs whose optional set is one cycle, up to isomorphism,
-    with arbitrary regular edges elsewhere."""
-    seen: set[OptionalGraph] = set()
+    with arbitrary regular edges elsewhere.
+
+    For each k the optional set is the cycle C_k on vertices 0..k-1 and the
+    regular set R any set of the other pairs, read as a bitmask over them.
+    An isomorphism between two such graphs maps optional edges to optional
+    edges, so it maps C_k onto itself: it is a dihedral symmetry of the k
+    cycle vertices times a permutation of the other n - k vertices, and
+    each element of that group maps such a graph to one of them.  So a
+    graph is kept iff no group element maps its mask to a smaller one
+    (Read's orderly criterion, "Every one a winner", 1978): exactly the
+    first graph of each class in mask order.
+    """
     for k in range(3, n + 1):
         cycle = frozenset(
             (min(i, (i + 1) % k), max(i, (i + 1) % k)) for i in range(k)
         )
         others = [p for p in pair_order(n) if p not in cycle]
+        where = {p: t for t, p in enumerate(others)}
+        bit_maps = []  # per group element, the image bit of each pair bit
+        group = itertools.product(
+            range(k), (1, -1), itertools.permutations(range(k, n))
+        )
+        for shift, step, tail in group:
+            perm = [(shift + step * i) % k for i in range(k)] + list(tail)
+            bit_maps.append([
+                1 << where[min(perm[i], perm[j]), max(perm[i], perm[j])]
+                for i, j in others
+            ])
         for mask in range(1 << len(others)):
-            regular = frozenset(others[t] for t in bit_indices(mask))
-            og = OptionalGraph(n, regular, cycle)
-            can, _ = canonical_optional(og)
-            if can in seen:
-                continue
-            seen.add(can)
-            yield og
+            set_bits = list(bit_indices(mask))
+            if all(sum(bits[t] for t in set_bits) >= mask for bits in bit_maps):
+                regular = frozenset(others[t] for t in set_bits)
+                yield OptionalGraph(n, regular, cycle)
 
 
 def nullspace_report(n: int) -> NullspaceReport:

@@ -1,7 +1,10 @@
 import json
+import sys
 import time
 
+from graphflag import parse_graph, subgraph_flag_vector
 from graphflag.cli import main
+from graphflag.selftest import _shelling_sum
 
 
 def run(capsys, *argv):
@@ -17,13 +20,43 @@ def test_flagvec_verbose_text(capsys):
 
 
 def test_flagvec_methods_agree(capsys):
-    _, rec, _ = run(capsys, "flagvec", "--form", "verbose", "--graph", "4:0-1,1-2")
-    _, sh, _ = run(
+    for text in ("4:0-1,1-2", "5:0-1,1-2,2-0,3-4", "5:0-1,?1-2,2-3,?3-0"):
+        _, out, _ = run(capsys, "flagvec", "--form", "verbose", "--graph", text)
+        assert out == _shelling_sum(parse_graph(text)).to_text() + "\n"
+
+
+def test_flagvec_verbose_json_golden(capsys):
+    code, out, _ = run(
         capsys,
-        "flagvec", "--form", "verbose", "--graph", "4:0-1,1-2",
-        "--method", "shelling",
+        "flagvec", "--form", "verbose", "--graph", "4:0-1,1-2", "--format", "json",
     )
-    assert rec == sh
+    assert code == 0
+    assert out == (
+        '{"coefficients": {"aaaa": 24, "aaba": 8, "abaa": 16, "abba": 4, '
+        '"baaa": 24, "baba": 4, "bbaa": 8}, "form": "verbose", '
+        '"graph": "4:0-1,1-2", "method": "recursion"}\n'
+    )
+
+
+def test_flagvec_prints_integers_past_the_str_digit_limit(capsys):
+    text = "4096:0-1,2-3,?3-4"
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(
+        capsys, "flagvec", "--form", "subgraph", "--graph", text, "--format", "json"
+    )
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    got = {tuple(e["partition"]): e["coefficient"] for e in payload["coefficients"]}
+    expected = subgraph_flag_vector(parse_graph(text))
+    assert got == {p.parts: c for p, c in expected.items()}
+    assert max(got.values()) > 10**4300  # more digits than the default limit
+    code, out, _ = run(capsys, "flagvec", "--form", "subgraph", "--graph", "1700:0-1")
+    assert code == 0 and out.count(":") == 2
 
 
 def test_flagvec_json_matches_text_values(capsys):
@@ -62,11 +95,14 @@ def test_flagvec_requires_exactly_one_source(capsys):
 
 
 def test_method_rejected_for_concise(capsys):
-    code, _, err = run(
-        capsys,
-        "flagvec", "--form", "concise", "--graph", "3:", "--method", "shelling",
-    )
-    assert code == 1 and "--method" in err
+    # one verbose kernel: no form takes a method
+    for form in ("verbose", "concise", "subgraph"):
+        for method in ("recursion", "shelling"):
+            code, _, err = run(
+                capsys,
+                "flagvec", "--form", form, "--graph", "3:", "--method", method,
+            )
+            assert code == 1 and "--method" in err
 
 
 def test_complement_text_and_transform(capsys):
@@ -161,10 +197,11 @@ def test_out_of_bound_n_refused_before_work(capsys):
     assert code == 2 and "size limit" in err
     code, _, err = run(capsys, "flagvec", "--form", "verbose", "--graph", "13:")
     assert code == 2 and "size limit" in err
+    # parsing keeps Python's digit limit on str to int
     code, _, err = run(
-        capsys, "flagvec", "--form", "verbose", "--graph", "9:", "--method", "shelling"
+        capsys, "flagvec", "--form", "subgraph", "--graph", "9" * 5000 + ":0-1"
     )
-    assert code == 2 and "size limit" in err
+    assert code == 1 and "limit" in err
     path13 = "13:" + ",".join(f"{i}-{i + 1}" for i in range(12))
     for form in ("concise", "subgraph"):
         for graph in (path13, "1000000:0-1"):
@@ -180,6 +217,14 @@ def test_out_of_bound_n_refused_before_work(capsys):
     code, _, err = run(capsys, "edgeflag", "--graph", path13)
     assert code == 2 and "size limit" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_basis_partition_needs_ascii_digits(capsys):
+    for text in ("[\u0663+\u0661]", "[1_0]"):
+        code, out, err = run(capsys, "basis", "--partition", text)
+        assert code == 1 and out == "" and "at position 1" in err
+    code, out, _ = run(capsys, "basis", "--partition", "[3+1]")
+    assert code == 0 and out
 
 
 def test_unknown_flag_rejected(capsys):

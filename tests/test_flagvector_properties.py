@@ -35,7 +35,7 @@ from graphflag import (
     verbose_flag_vector,
     verbose_from_concise,
 )
-from graphflag.selftest import _subgraph_sum
+from graphflag.selftest import _shelling_sum, _subgraph_sum
 
 
 @st.composite
@@ -59,7 +59,7 @@ def _expanded_sum(og, form):
 @settings(max_examples=25)
 @given(labelled_graphs(max_optional=2))
 def test_dp_equals_shelling_sum(og):
-    assert verbose_flag_vector(og) == verbose_flag_vector(og, "shelling_sum")
+    assert verbose_flag_vector(og) == _shelling_sum(og)
 
 
 @settings(max_examples=40)

@@ -37,7 +37,7 @@ from graphflag import (
     verbose_from_concise,
 )
 from graphflag.flagvectors import MAX_CONCISE_N
-from graphflag.selftest import _subgraph_sum
+from graphflag.selftest import _shelling_sum, _subgraph_sum
 from graphflag.vectors import EdgeWordVector
 
 
@@ -67,7 +67,7 @@ THREE_VERTEX = [
 @pytest.mark.parametrize("g,expected", THREE_VERTEX)
 def test_three_vertex_verbose_rows(g, expected):
     assert verbose_flag_vector(g) == VerboseVector(3, expected)
-    assert verbose_flag_vector(g, "shelling_sum") == VerboseVector(3, expected)
+    assert _shelling_sum(g) == VerboseVector(3, expected)
 
 
 def test_verbose_of_zero_vertex_graph_is_scalar_one():
@@ -77,9 +77,7 @@ def test_verbose_of_zero_vertex_graph_is_scalar_one():
 def test_methods_agree_exhaustively_to_n5():
     for n in range(6):
         for g in enumerate_graphs(n):
-            assert verbose_flag_vector(g, "recursion") == verbose_flag_vector(
-                g, "shelling_sum"
-            )
+            assert verbose_flag_vector(g) == _shelling_sum(g)
 
 
 def test_optional_tree_gives_single_word():
@@ -128,8 +126,9 @@ def test_concise_whole_graph_limit():
 
 
 def test_verbose_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        verbose_flag_vector(_g(2), "magic")
+    # one kernel: there is no method to choose
+    with pytest.raises(TypeError):
+        verbose_flag_vector(_g(2), "recursion")
 
 
 # ---------------------------------------------------------------------------

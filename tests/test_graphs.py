@@ -16,7 +16,6 @@ from graphflag import (
     OptionalGraph,
     SizeLimitError,
     canonical_form,
-    canonical_optional,
     complement,
     connected_partition,
     enumerate_graphs,
@@ -163,21 +162,6 @@ def test_canonical_size_limit():
         canonical_form(Graph(11, frozenset()))
 
 
-def test_canonical_optional_separates_edge_kinds():
-    # all-regular path vs all-optional path: same shape, different kinds
-    a = OptionalGraph(3, frozenset({(0, 1), (1, 2)}), frozenset())
-    b = OptionalGraph(3, frozenset(), frozenset({(0, 1), (1, 2)}))
-    assert canonical_optional(a)[0] != canonical_optional(b)[0]
-
-
-def test_canonical_optional_is_isomorphism_invariant():
-    a = OptionalGraph(3, frozenset({(0, 1)}), frozenset({(1, 2)}))
-    ca, rho = canonical_optional(a)
-    assert a.relabel(rho) == ca
-    for perm in itertools.permutations(range(3)):
-        assert canonical_optional(a.relabel(perm))[0] == ca
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -282,7 +266,7 @@ def test_serialize_round_trip():
 _NUMPY_PROBE = """
 import sys
 from graphflag import (
-    canonical_form, canonical_optional, cli, concise_flag_vector, parse_graph,
+    canonical_form, cli, concise_flag_vector, parse_graph,
     subgraph_flag_vector, verbose_flag_vector,
 )
 og = parse_graph("8:0-1,1-2,2-3,3-4,4-5,5-6,6-7,1-6,?0-7,?2-5")
@@ -291,7 +275,6 @@ for form in (verbose_flag_vector, concise_flag_vector, subgraph_flag_vector):
 assert cli.main(["flagvec", "--form", "concise", "--graph", "8:0-1,?1-2"]) == 0
 assert "numpy" not in sys.modules, "numpy loaded outside the canonical search"
 assert canonical_form(parse_graph("3:0-2").as_graph())[0].to_text() == "3:1-2"
-assert canonical_optional(parse_graph("3:?0-2,0-1"))[0].to_text() == "3:0-2,?1-2"
 assert "numpy" in sys.modules
 """
 

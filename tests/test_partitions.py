@@ -47,6 +47,28 @@ def test_bracket_text_round_trip():
         Partition.from_text("[2+x]")
 
 
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("[\u0663+\u0661]", 1),  # Arabic-Indic digits, which int() reads as 3 and 1
+        ("[1_0]", 1),  # int() reads it as 10
+        ("[2+\u00b2]", 3),  # superscript two, which str.isdigit accepts
+        ("[2+x]", 3),
+        ("[ 2 + -1 ]", 6),
+        ("[3++1]", 3),
+        ("[3+ ]", 3),
+    ],
+)
+def test_bracket_text_accepts_ascii_digits_only(text, position):
+    with pytest.raises(ValueError, match=f"at position {position}"):
+        Partition.from_text(text)
+
+
+def test_bracket_text_allows_spaces_around_parts():
+    assert Partition.from_text(" [ 3 + 1 ] ").parts == (3, 1)
+    assert Partition.from_text("[ ]").parts == ()
+
+
 def test_multinomial():
     assert multinomial(4, (2, 1, 1)) == 12
     assert multinomial(0, ()) == 1

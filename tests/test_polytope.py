@@ -2,12 +2,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphflag import (
     GraphSum,
+    OptionalGraph,
     RationalMatrix,
     SizeLimitError,
     class_concise_points,
@@ -21,6 +23,7 @@ from graphflag import (
     span_dimension,
     verbose_flag_vector,
 )
+from graphflag.polytope import _single_cycle_optional_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +358,43 @@ def test_nullspace_n4_finding():
     assert report.kernel_dim == 6
     assert 0 <= report.cycle_span_dim <= report.kernel_dim
     assert report.spans == (report.cycle_span_dim == report.kernel_dim)
+
+
+def _report_tuple(report):
+    return (report.class_count, report.kernel_dim, report.cycle_span_dim, report.spans)
+
+
+def test_nullspace_n5_finding():
+    assert _report_tuple(nullspace_report(5)) == (34, 27, 24, False)
+
+
+@pytest.mark.slow
+def test_nullspace_n6_finding():
+    assert _report_tuple(nullspace_report(6)) == (156, 145, 136, False)
+
+
+def _nx_optional(og):
+    g = nx.Graph()
+    g.add_nodes_from(range(og.n))
+    g.add_edges_from(og.regular, optional=False)
+    g.add_edges_from(og.optional, optional=True)
+    return g
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_single_cycle_graphs_are_one_per_class(n):
+    # oracle: every (R, C_k) over all regular sets R is isomorphic, edge
+    # kinds kept, to exactly one yielded graph
+    kept = [_nx_optional(og) for og in _single_cycle_optional_graphs(n)]
+    same_kind = nx.algorithms.isomorphism.categorical_edge_match("optional", None)
+    for k in range(3, n + 1):
+        cycle = frozenset(tuple(sorted((i, (i + 1) % k))) for i in range(k))
+        others = [p for p in itertools.combinations(range(n), 2) if p not in cycle]
+        for r in range(len(others) + 1):
+            for regular in itertools.combinations(others, r):
+                g = _nx_optional(OptionalGraph(n, frozenset(regular), cycle))
+                matches = [h for h in kept if nx.is_isomorphic(g, h, edge_match=same_kind)]
+                assert len(matches) == 1, (n, k, regular)
 
 
 def test_nullspace_n2_vacuous():
