@@ -251,6 +251,8 @@ def _cmd_enumerate(args):
 def _cmd_basis(args):
     try:
         partition = Partition.from_text(args.partition)
+    except SizeLimitError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     gs = basis_graph(partition)
@@ -323,12 +325,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"graphflag: usage error: {exc}", file=sys.stderr)
         return 1
-    except GraphParseError as exc:
-        print(f"graphflag: {exc}", file=sys.stderr)
-        return 1
     except SizeLimitError as exc:
         print(f"graphflag: size limit: {exc}", file=sys.stderr)
         return 2
+    except GraphParseError as exc:
+        print(f"graphflag: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"graphflag: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import GraphParseError, SizeLimitError
+from .errors import MAX_DIGITS, DigitLimitError, GraphParseError, SizeLimitError
 from .partitions import Partition
 
 if TYPE_CHECKING:
@@ -196,6 +196,11 @@ def parse_graph(text: str) -> OptionalGraph:
     head = text[:colon].strip()
     if not _is_number(head):
         raise GraphParseError(f"bad vertex count {head!r} at position 0")
+    if len(head) > MAX_DIGITS:
+        raise DigitLimitError(
+            f"vertex count of {len(head)} digits at position 0 "
+            f"(at most {MAX_DIGITS})"
+        )
     n = int(head)
 
     regular: set[Edge] = set()
@@ -216,6 +221,12 @@ def parse_graph(text: str) -> OptionalGraph:
             left, right = left.strip(), right.strip()
             if not dash or not _is_number(left) or not _is_number(right):
                 raise GraphParseError(f"bad edge {tok!r} at position {at}")
+            digits = max(len(left), len(right))
+            if digits > MAX_DIGITS:
+                raise DigitLimitError(
+                    f"vertex index of {digits} digits in the edge at position {at} "
+                    f"(at most {MAX_DIGITS})"
+                )
             i, j = int(left), int(right)
             if i == j:
                 raise GraphParseError(f"self-loop {tok!r} at position {at}")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from .errors import MAX_DIGITS, DigitLimitError
+
 
 @dataclass(frozen=True, order=True)
 class Partition:
@@ -49,9 +51,13 @@ class Partition:
         for token in body.split("+"):
             tok = token.strip()
             # int() alone would also read "٣" and "1_0", str.isdigit "²"
+            at = pos + token.find(tok)
             if not (tok.isascii() and tok.isdigit()):
-                at = pos + token.find(tok)
                 raise ValueError(f"bad part {tok!r} at position {at} in {text!r}")
+            if len(tok) > MAX_DIGITS:
+                raise DigitLimitError(
+                    f"part of {len(tok)} digits at position {at} (at most {MAX_DIGITS})"
+                )
             sizes.append(int(tok))
             pos += len(token) + 1
         return cls.from_sizes(sizes)

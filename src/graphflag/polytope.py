@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,6 @@ from .graphs import (
     OptionalGraph,
     bit_indices,
     enumerate_graphs,
-    expand,
     pair_order,
 )
 from .partitions import enumerate_partitions
@@ -126,11 +126,43 @@ def _in_convex_hull(target: tuple, others: list[tuple]) -> bool:
     return lp_feasible(RationalMatrix(rows), [*target, 1]).feasible
 
 
-def hull_report(n: int, include_facets: bool = False) -> HullReport:
-    """Exact LP vertex test for every class point; facets on request.
+def _vertex_flags(
+    points: list[tuple[int, ...]],
+    incidence: list[tuple[FacetInequality, int]] | None = None,
+) -> list[bool]:
+    """Exact vertex verdict for each of distinct integer points.
 
-    A point is a vertex iff the convex-combination system over the other
-    distinct points is infeasible.  Duplicated points (if any) share a
+    `incidence` (optional) lists facets of their hull, each with the bitmask
+    of the points tight on it (bit i for points[i]).  Point i is then first
+    offered the sum of the facets tight on it: if that integer functional is
+    0 at the point and positive at every other point, the point is its
+    unique minimiser, so a vertex.  Otherwise, and without incidence, the
+    exact LP decides: a vertex iff it is no convex combination of the others.
+    """
+    flags = []
+    for i, p in enumerate(points):
+        others = points[:i] + points[i + 1 :]
+        if incidence is not None:
+            tight = [f for f, mask in incidence if mask >> i & 1]
+            coeffs = [sum(col) for col in zip(*(c for c, _ in tight))] or [0] * len(p)
+            offset = sum(o for _, o in tight)
+            if _dot(coeffs, p) + offset == 0 and all(
+                _dot(coeffs, q) + offset > 0 for q in others
+            ):
+                flags.append(True)
+                continue
+        flags.append(not _in_convex_hull(p, others))
+    return flags
+
+
+def hull_report(n: int, include_facets: bool = False) -> HullReport:
+    """Exact vertex verdict for every class point; facets on request.
+
+    Without facets, a point is a vertex iff the exact LP finds the
+    convex-combination system over the other distinct points infeasible.
+    With facets, computed first, a vertex is certified by an integer
+    functional built from the facets through it, and only a point that
+    fails that check goes to the LP.  Duplicated points (if any) share a
     verdict; distinctness is reported alongside.
     """
     if not 0 <= n <= MAX_ANALYSIS_N:
@@ -138,30 +170,18 @@ def hull_report(n: int, include_facets: bool = False) -> HullReport:
             f"hull_report supports 0 <= n <= {MAX_ANALYSIS_N}, got n={n}"
         )
     pts = class_concise_points(n)
-    unique: list[tuple[int, ...]] = []
     groups: dict[tuple[int, ...], list[Graph]] = {}
     for g, coords in pts:
-        if coords not in groups:
-            groups[coords] = []
-            unique.append(coords)
-        groups[coords].append(g)
-    if include_facets and len(unique) > MAX_FACET_POINTS:
-        # refuse before the per-point LP loop, which dominates at n = 6
-        raise SizeLimitError(
-            f"hull_facets supports at most {MAX_FACET_POINTS} distinct points, "
-            f"got {len(unique)}"
-        )
+        groups.setdefault(coords, []).append(g)
+    unique = list(groups)
+    incidence = _facet_incidence(unique) if include_facets else None
     flags: dict[Graph, bool] = {}
-    for coords in unique:
-        others = [u for u in unique if u != coords]
-        is_vertex = not _in_convex_hull(coords, others)
+    for coords, is_vertex in zip(unique, _vertex_flags(unique, incidence)):
         for g in groups[coords]:
             flags[g] = is_vertex
     parts = enumerate_partitions(n)
     points = {g: ConciseVector(n, dict(zip(parts, coords))) for g, coords in pts}
-    facets = None
-    if include_facets:
-        facets = hull_facets([coords for _, coords in pts])
+    facets = None if incidence is None else tuple(f for f, _ in incidence)
     return HullReport(n, points, {g: flags[g] for g in points}, facets)
 
 
@@ -175,7 +195,7 @@ def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _double_description(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -242,10 +262,12 @@ def _double_description(constraints: list[tuple[int, ...]]) -> list[tuple[int, .
             every_ray = (1 << len(rays)) - 1
             for p in plus:
                 mask_p = masks[p]
-                for q, mask_q in minus:
-                    common = mask_p & mask_q
-                    if common.bit_count() < need:
-                        continue
+                passing = [
+                    (q, common)
+                    for q, mask_q in minus
+                    if (common := mask_p & mask_q).bit_count() >= need
+                ]
+                for q, common in passing:
                     tight_on_common = every_ray
                     for t in bit_indices(common):
                         tight_on_common &= holders[t]
@@ -290,6 +312,13 @@ def hull_facets(points: Sequence) -> tuple[FacetInequality, ...]:
     coordinates that are constant across the points.  Rational points are
     scaled by one common denominator; all the work is in integers.
     """
+    return tuple(f for f, _ in _facet_incidence(points))
+
+
+def _facet_incidence(points: Sequence) -> list[tuple[FacetInequality, int]]:
+    """The facets of `hull_facets`, sorted, each with the bitmask of the
+    distinct points tight on it: bit i for the i-th distinct point in order
+    of first occurrence."""
     scaled, scale = integer_rows(
         [p.coefficient(q) for q in enumerate_partitions(p.n)]
         if isinstance(p, ConciseVector) else [Fraction(x) for x in p]
@@ -309,7 +338,7 @@ def hull_facets(points: Sequence) -> tuple[FacetInequality, ...]:
         )
     p0, chart = _affine_chart(unique)
     if not chart:
-        return ()
+        return []
     diffs = [[a - b for a, b in zip(x, p0)] for x in unique]
     rays = _double_description([(1, *(_dot(row, d) for row in chart)) for d in diffs])
 
@@ -319,23 +348,30 @@ def hull_facets(points: Sequence) -> tuple[FacetInequality, ...]:
         facets.append(_primitive(amb + [ray[0] - _dot(amb, p0)]))
 
     # verify before returning: validity on all points and genuine facet rank
+    masks = []
     for *coeffs, offset in facets:
         vals = [offset + _dot(coeffs, pt) for pt in unique]
         if any(v < 0 for v in vals):
             raise ArithmeticError("facet inequality fails on an input point")
-        tight = [pt for pt, v in zip(unique, vals) if v == 0]
+        tight = [i for i, v in enumerate(vals) if v == 0]
         if not tight:
             raise ArithmeticError("facet inequality is tight on no point")
         echelon = EchelonRows()
-        for pt in tight[1:]:
-            echelon.add([a - b for a, b in zip(pt, tight[0])])
+        for i in tight[1:]:
+            echelon.add([a - b for a, b in zip(unique[i], unique[tight[0]])])
         if echelon.rank != len(chart) - 1:
             raise ArithmeticError("inequality does not support a facet")
+        masks.append(sum(1 << i for i in tight))
     if len(set(facets)) != len(facets):
         raise ArithmeticError("duplicate facet inequalities")
-    # back to the unscaled points: c . (scale x) + offset >= 0
-    facets = [_primitive([c * scale for c in f[:-1]] + [f[-1]]) for f in facets]
-    return tuple(sorted((f[:-1], f[-1]) for f in facets))
+    # back to the unscaled points: c . (scale x) + offset >= 0, same tight
+    # set; equal numbers share one int object, since a report keeps every facet
+    shared: dict[int, int] = {}
+    unscaled = []
+    for *coeffs, offset in facets:
+        f = _primitive([c * scale for c in coeffs] + [offset])
+        unscaled.append(tuple(map(shared.setdefault, f, f)))
+    return sorted(((f[:-1], f[-1]), mask) for f, mask in zip(unscaled, masks))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +447,40 @@ def _single_cycle_optional_graphs(n: int):
                 yield OptionalGraph(n, regular, cycle)
 
 
+def _class_table(n: int, classes: Sequence[Graph]) -> dict[int, int]:
+    """Class index of every labelled n-vertex graph, keyed by its edge
+    bitmask (bit t for pair_order(n)[t]): each class representative is
+    relabelled by all n! permutations, through per-permutation pair-bit maps."""
+    pairs = pair_order(n)
+    where = {p: t for t, p in enumerate(pairs)}
+    images = [
+        [1 << where[min(s[i], s[j]), max(s[i], s[j])] for i, j in pairs]
+        for s in itertools.permutations(range(n))
+    ]
+    table: dict[int, int] = {}
+    for k, g in enumerate(classes):
+        chosen = itertools.repeat([p in g.edges for p in pairs])
+        table.update(dict.fromkeys(map(sum, map(itertools.compress, images, chosen)), k))
+    return table
+
+
+def _expansion_row(og: OptionalGraph, table: dict[int, int], size: int) -> list[int]:
+    """expand(og) as coefficients over the class indices of `table`: each
+    subset B of the optional edges adds (-1)^(|optional| - |B|) to the class
+    of the regular edges plus B."""
+    bit = {p: 1 << t for t, p in enumerate(pair_order(og.n))}
+    regular = sum(bit[e] for e in og.regular)
+    optional = sum(bit[e] for e in og.optional)
+    parity = len(og.optional) & 1
+    row = [0] * size
+    sub = optional
+    while True:
+        row[table[regular | sub]] += -1 if (sub.bit_count() ^ parity) & 1 else 1
+        if not sub:
+            return row
+        sub = (sub - 1) & optional
+
+
 def nullspace_report(n: int) -> NullspaceReport:
     """Kernel dimension of the class matrix versus the optional-cycle span.
 
@@ -424,14 +494,11 @@ def nullspace_report(n: int) -> NullspaceReport:
         )
     pts = class_concise_points(n)
     classes = [g for g, _ in pts]
-    index = {g: k for k, g in enumerate(classes)}
     kernel_dim = len(classes) - RationalMatrix([c for _, c in pts]).rank()
+    table = _class_table(n, classes)
     reducer = EchelonRows()
     for og in _single_cycle_optional_graphs(n):
-        row = [0] * len(classes)
-        for term, coeff in expand(og).items():
-            row[index[term]] = coeff
-        reducer.add(row)
+        reducer.add(_expansion_row(og, table, len(classes)))
         if reducer.rank == kernel_dim:
             break
     return NullspaceReport(

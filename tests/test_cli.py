@@ -1,6 +1,9 @@
+import hashlib
 import json
 import sys
 import time
+
+import pytest
 
 from graphflag import parse_graph, subgraph_flag_vector
 from graphflag.cli import main
@@ -197,11 +200,18 @@ def test_out_of_bound_n_refused_before_work(capsys):
     assert code == 2 and "size limit" in err
     code, _, err = run(capsys, "flagvec", "--form", "verbose", "--graph", "13:")
     assert code == 2 and "size limit" in err
-    # parsing keeps Python's digit limit on str to int
-    code, _, err = run(
-        capsys, "flagvec", "--form", "subgraph", "--graph", "9" * 5000 + ":0-1"
+    # a number past Python's digit limit on str to int is refused, with its
+    # position, before int() is called
+    long_numbers = (
+        ("9" * 5000 + ":0-1", "position 0"),
+        ("3:0-" + "1" * 5000, "position 2"),
     )
-    assert code == 1 and "limit" in err
+    for graph, where in long_numbers:
+        code, _, err = run(capsys, "flagvec", "--form", "concise", "--graph", graph)
+        assert code == 2 and "size limit" in err and where in err
+        assert "set_int_max_str_digits" not in err
+    code, _, err = run(capsys, "basis", "--partition", "[2+" + "1" * 5000 + "]")
+    assert code == 2 and "size limit" in err and "position 3" in err
     path13 = "13:" + ",".join(f"{i}-{i + 1}" for i in range(12))
     for form in ("concise", "subgraph"):
         for graph in (path13, "1000000:0-1"):
@@ -263,3 +273,28 @@ def test_selftest_detects_corrupted_scale_table(capsys, monkeypatch):
     monkeypatch.setattr(fv, "component_scale", corrupted)
     result = run_criterion(11)
     assert not result.passed
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("hull", "--n", "5", "--mode", "facets"),
+            "4588340c4f7715495d953aaa94d74c3ad2ae1a9fc81d593100806f9e0a70cd99",
+        ),
+        (
+            ("hull", "--n", "4", "--mode", "vertices"),
+            "465b684c036fb9fe7b5ed7b81b874038a71c91dffffdbb97ec81985672cedf93",
+        ),
+        (
+            ("nullspace", "--n", "5"),
+            "0eb3c1e7f21a53a11d89cca7bcca2ee23b896bd950d658eeb6645991b227e428",
+        ),
+    ],
+)
+def test_census_json_is_byte_identical(capsys, argv, digest):
+    # SHA-256 of the JSON printed when vertices came from one exact LP per
+    # point and null-space rows from expand() and canonical forms
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

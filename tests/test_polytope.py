@@ -23,7 +23,14 @@ from graphflag import (
     span_dimension,
     verbose_flag_vector,
 )
-from graphflag.polytope import _single_cycle_optional_graphs
+from graphflag.graphs import Graph, canonical_form, expand, pair_order
+from graphflag.polytope import (
+    _class_table,
+    _expansion_row,
+    _facet_incidence,
+    _single_cycle_optional_graphs,
+    _vertex_flags,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +276,50 @@ def _vertices_by_facets(points, facets):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lp_vertex_verdicts_match_facet_incidence(n):
-    # two independent methods: the exact LP per point and the DD facets
-    report = hull_report(n, include_facets=True)
+    # two independent methods: the exact LP per point (the vertices-only
+    # mode) and incidence with the DD facets
+    by_lp = hull_report(n)
     parts = enumerate_partitions(n)
     coords = {
-        g: tuple(vec.coefficient(p) for p in parts)
-        for g, vec in report.points.items()
+        g: tuple(vec.coefficient(p) for p in parts) for g, vec in by_lp.points.items()
     }
-    by_facets = _vertices_by_facets(list(coords.values()), report.facets)
+    by_facets = _vertices_by_facets(list(coords.values()), hull_facets(coords.values()))
     for g, pt in coords.items():
-        assert report.vertex_flags[g] == by_facets[pt]
+        assert by_lp.vertex_flags[g] == by_facets[pt]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_both_hull_modes_give_equal_vertex_flags(n):
+    with_facets, by_lp = hull_report(n, include_facets=True), hull_report(n)
+    assert with_facets.vertex_flags == by_lp.vertex_flags
+    assert with_facets.points == by_lp.points
+
+
+@st.composite
+def points_with_midpoints(draw):
+    """Distinct integer points in dimension 2 or 3: corners, some midpoints
+    of two corners (on edges or inside) and some centroids of three (with
+    repeats, so on edges too), all scaled by 6 to stay integer."""
+    dim = draw(st.integers(2, 3))
+    coords = st.tuples(*[st.integers(-3, 3)] * dim)
+    corners = draw(st.lists(coords, min_size=2, max_size=7, unique=True))
+    corner = st.sampled_from(corners)
+    pairs = draw(st.lists(st.lists(corner, min_size=2, max_size=2), max_size=3))
+    triples = draw(st.lists(st.lists(corner, min_size=3, max_size=3), max_size=2))
+    points = [tuple(6 * x for x in p) for p in corners]
+    points += [tuple(3 * sum(xs) for xs in zip(*pq)) for pq in pairs]
+    points += [tuple(2 * sum(xs) for xs in zip(*pqr)) for pqr in triples]
+    return list(dict.fromkeys(points))
+
+
+@settings(max_examples=120, deadline=None)
+@given(points_with_midpoints())
+def test_facet_certified_vertices_match_lp_and_incidence(points):
+    # the facet-certified verdicts, with the LP fallback for every point the
+    # functional does not certify, against the LP alone and facet incidence
+    by_facets = _vertices_by_facets(points, hull_facets(points))
+    certified = _vertex_flags(points, _facet_incidence(points))
+    assert certified == _vertex_flags(points) == [by_facets[p] for p in points]
 
 
 @pytest.mark.parametrize(
@@ -395,6 +436,34 @@ def test_single_cycle_graphs_are_one_per_class(n):
                 g = _nx_optional(OptionalGraph(n, frozenset(regular), cycle))
                 matches = [h for h in kept if nx.is_isomorphic(g, h, edge_match=same_kind)]
                 assert len(matches) == 1, (n, k, regular)
+
+
+def _expand_row(og, index):
+    # oracle: the row from expand(), whose terms are canonical forms
+    row = [0] * len(index)
+    for term, coeff in expand(og).items():
+        row[index[term]] = coeff
+    return row
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_class_table_rows_match_expand(n):
+    classes = enumerate_graphs(n)
+    index = {g: k for k, g in enumerate(classes)}
+    table = _class_table(n, classes)
+    for og in _single_cycle_optional_graphs(n):
+        assert _expansion_row(og, table, len(classes)) == _expand_row(og, index), og
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_class_table_covers_every_labelled_graph(n):
+    classes = enumerate_graphs(n)
+    table = _class_table(n, classes)
+    pairs = pair_order(n)
+    assert sorted(table) == list(range(1 << len(pairs)))
+    for mask, k in table.items():
+        g = Graph(n, frozenset(p for t, p in enumerate(pairs) if mask >> t & 1))
+        assert canonical_form(g)[0] == classes[k]
 
 
 def test_nullspace_n2_vacuous():
