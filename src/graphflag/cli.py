@@ -48,6 +48,17 @@ def _vector_json(vec):
     raise TypeError(f"unexpected vector {vec!r}")
 
 
+def _order(text: str) -> int:
+    """The argument type of every --n: a nonnegative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
@@ -78,25 +89,25 @@ def build_parser() -> _Parser:
     )
 
     p = sub.add_parser("rank", parents=[common], help="span dimension at order n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order, required=True)
 
     p = sub.add_parser("hull", parents=[common], help="convex hull analysis")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order, required=True)
     p.add_argument("--mode", required=True, choices=("vertices", "facets"))
 
     p = sub.add_parser("nullspace", parents=[common], help="null-space report")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order, required=True)
 
     p = sub.add_parser(
         "average", parents=[common], help="totals and means over all labelled graphs"
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order, required=True)
     p.add_argument("--word", help="restrict to one word over a,b")
 
     p = sub.add_parser(
         "enumerate", parents=[common], help="isomorphism classes in canonical order"
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order, required=True)
 
     p = sub.add_parser(
         "basis", parents=[common], help="basis graph sum for a partition"
@@ -208,8 +219,6 @@ def _cmd_nullspace(args):
 
 def _cmd_average(args):
     n = args.n
-    if n < 0:
-        raise UsageError("--n must be nonnegative")
     if n > MAX_TOTAL_N:
         raise SizeLimitError(f"average supports n <= {MAX_TOTAL_N}, got n={n}")
     count = 2 ** math.comb(n, 2)
@@ -241,8 +250,6 @@ def _cmd_average(args):
 
 
 def _cmd_enumerate(args):
-    if args.n < 0:
-        raise UsageError("--n must be nonnegative")
     classes = enumerate_graphs(args.n)
     lines = [g.serialize() for g in classes]
     return lines, {"n": args.n, "class_count": len(classes), "classes": lines}

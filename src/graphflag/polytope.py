@@ -8,7 +8,6 @@ analysed inside their affine hull.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -19,13 +18,7 @@ from typing import Sequence
 from .errors import SizeLimitError
 from .exactlin import EchelonRows, RationalMatrix, integer_rows, lp_feasible
 from .flagvectors import concise_flag_vector
-from .graphs import (
-    Graph,
-    OptionalGraph,
-    bit_indices,
-    enumerate_graphs,
-    pair_order,
-)
+from .graphs import Graph, bit_indices, connected_partition, enumerate_graphs
 from .partitions import enumerate_partitions
 from .vectors import ConciseVector
 
@@ -382,7 +375,10 @@ class NullspaceReport:
     """Null-space dimensions of the class-to-flag-vector map.
 
     `spans` records whether expansions of optional-cycle graphs span the
-    whole null space at this order; it is a reported finding, not a claim.
+    whole null space at this order.  The kernel has dimension classes - p(n)
+    and the cycle span classes - forests(n), so `spans` is true iff
+    forests(n) = p(n): iff every partition of n is the type of one forest
+    only, that is iff n <= 3.
     """
 
     n: int
@@ -410,97 +406,40 @@ class NullspaceReport:
         }
 
 
-def _single_cycle_optional_graphs(n: int):
-    """Optional-edge graphs whose optional set is one cycle, up to isomorphism,
-    with arbitrary regular edges elsewhere.
-
-    For each k the optional set is the cycle C_k on vertices 0..k-1 and the
-    regular set R any set of the other pairs, read as a bitmask over them.
-    An isomorphism between two such graphs maps optional edges to optional
-    edges, so it maps C_k onto itself: it is a dihedral symmetry of the k
-    cycle vertices times a permutation of the other n - k vertices, and
-    each element of that group maps such a graph to one of them.  So a
-    graph is kept iff no group element maps its mask to a smaller one
-    (Read's orderly criterion, "Every one a winner", 1978): exactly the
-    first graph of each class in mask order.
-    """
-    for k in range(3, n + 1):
-        cycle = frozenset(
-            (min(i, (i + 1) % k), max(i, (i + 1) % k)) for i in range(k)
-        )
-        others = [p for p in pair_order(n) if p not in cycle]
-        where = {p: t for t, p in enumerate(others)}
-        bit_maps = []  # per group element, the image bit of each pair bit
-        group = itertools.product(
-            range(k), (1, -1), itertools.permutations(range(k, n))
-        )
-        for shift, step, tail in group:
-            perm = [(shift + step * i) % k for i in range(k)] + list(tail)
-            bit_maps.append([
-                1 << where[min(perm[i], perm[j]), max(perm[i], perm[j])]
-                for i, j in others
-            ])
-        for mask in range(1 << len(others)):
-            set_bits = list(bit_indices(mask))
-            if all(sum(bits[t] for t in set_bits) >= mask for bits in bit_maps):
-                regular = frozenset(others[t] for t in set_bits)
-                yield OptionalGraph(n, regular, cycle)
-
-
-def _class_table(n: int, classes: Sequence[Graph]) -> dict[int, int]:
-    """Class index of every labelled n-vertex graph, keyed by its edge
-    bitmask (bit t for pair_order(n)[t]): each class representative is
-    relabelled by all n! permutations, through per-permutation pair-bit maps."""
-    pairs = pair_order(n)
-    where = {p: t for t, p in enumerate(pairs)}
-    images = [
-        [1 << where[min(s[i], s[j]), max(s[i], s[j])] for i, j in pairs]
-        for s in itertools.permutations(range(n))
-    ]
-    table: dict[int, int] = {}
-    for k, g in enumerate(classes):
-        chosen = itertools.repeat([p in g.edges for p in pairs])
-        table.update(dict.fromkeys(map(sum, map(itertools.compress, images, chosen)), k))
-    return table
-
-
-def _expansion_row(og: OptionalGraph, table: dict[int, int], size: int) -> list[int]:
-    """expand(og) as coefficients over the class indices of `table`: each
-    subset B of the optional edges adds (-1)^(|optional| - |B|) to the class
-    of the regular edges plus B."""
-    bit = {p: 1 << t for t, p in enumerate(pair_order(og.n))}
-    regular = sum(bit[e] for e in og.regular)
-    optional = sum(bit[e] for e in og.optional)
-    parity = len(og.optional) & 1
-    row = [0] * size
-    sub = optional
-    while True:
-        row[table[regular | sub]] += -1 if (sub.bit_count() ^ parity) & 1 else 1
-        if not sub:
-            return row
-        sub = (sub - 1) & optional
-
-
 def nullspace_report(n: int) -> NullspaceReport:
     """Kernel dimension of the class matrix versus the optional-cycle span.
 
-    The kernel holds the formal sums of classes whose flag vector vanishes;
-    the cycle span is the space generated by expanding every optional-edge
-    graph (up to isomorphism) whose optional set is a single cycle.
+    The kernel holds the formal sums of classes whose flag vector vanishes,
+    so its dimension is the class count minus the exact rank of the class
+    points.  The cycle span is the space generated by expanding every
+    optional-edge graph whose optional set is a single cycle C (the signed
+    sum over C's subsets B of the class of the regular edges plus B); its
+    dimension is the class count minus the number of forest classes:
+
+    - Lower bound.  A class G with a cycle C gives the row of (G - C
+      regular, C optional).  G is the only term of that row with the most
+      edges, so these rows, one per non-forest class, are triangular and
+      independent.
+    - Upper bound.  For each forest type F, let N_F(H) count the acyclic
+      edge subsets S of H of type F.  On the expansion of (R regular, C
+      optional), the terms containing a fixed S come from the B that hold
+      the edges of S in C, and their signed sum vanishes unless S contains
+      C, which no acyclic S does.  So every N_F kills every cycle row.  On the
+      forest classes ordered by edge count the N_F are unitriangular
+      (N_F(F) = 1, and N_F(F') = 0 unless F' = F or F' has more edges), so
+      they are independent and their common kernel, which holds the cycle
+      span, has dimension classes - forests.
     """
     if not 0 <= n <= MAX_ANALYSIS_N:
         raise SizeLimitError(
             f"nullspace_report supports 0 <= n <= {MAX_ANALYSIS_N}, got n={n}"
         )
-    pts = class_concise_points(n)
-    classes = [g for g, _ in pts]
-    kernel_dim = len(classes) - RationalMatrix([c for _, c in pts]).rank()
-    table = _class_table(n, classes)
-    reducer = EchelonRows()
-    for og in _single_cycle_optional_graphs(n):
-        reducer.add(_expansion_row(og, table, len(classes)))
-        if reducer.rank == kernel_dim:
-            break
+    classes = [g for g, _ in class_concise_points(n)]
+    kernel_dim = len(classes) - span_dimension(n)
+    forests = sum(
+        len(g.edges) + len(connected_partition(g).parts) == n for g in classes
+    )
+    cycle_span_dim = len(classes) - forests
     return NullspaceReport(
-        n, len(classes), kernel_dim, reducer.rank, reducer.rank == kernel_dim
+        n, len(classes), kernel_dim, cycle_span_dim, cycle_span_dim == kernel_dim
     )

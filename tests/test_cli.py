@@ -194,8 +194,19 @@ def test_out_of_bound_n_refused_before_work(capsys):
     assert code == 2 and "size limit" in err
     code, _, err = run(capsys, "average", "--n", "24", "--word", "a" * 24)
     assert code == 2 and "size limit" in err
-    code, _, err = run(capsys, "enumerate", "--n", "-1")
-    assert code == 1 and "usage error" in err
+    # a negative order is a usage error for every command that takes --n
+    negative = (
+        ("rank",),
+        ("hull", "--mode", "vertices"),
+        ("hull", "--mode", "facets"),
+        ("nullspace",),
+        ("average",),
+        ("average", "--word", "a"),
+        ("enumerate",),
+    )
+    for command, *extra in negative:
+        code, _, err = run(capsys, command, "--n", "-1", *extra)
+        assert code == 1 and "usage error" in err and "nonnegative" in err
     code, _, err = run(capsys, "complement", "--graph", "3000:")
     assert code == 2 and "size limit" in err
     code, _, err = run(capsys, "flagvec", "--form", "verbose", "--graph", "13:")

@@ -23,14 +23,16 @@ from graphflag import (
     span_dimension,
     verbose_flag_vector,
 )
-from graphflag.graphs import Graph, canonical_form, expand, pair_order
-from graphflag.polytope import (
-    _class_table,
-    _expansion_row,
-    _facet_incidence,
-    _single_cycle_optional_graphs,
-    _vertex_flags,
+from graphflag.exactlin import EchelonRows
+from graphflag.graphs import (
+    Graph,
+    bit_indices,
+    canonical_form,
+    connected_partition,
+    expand,
+    pair_order,
 )
+from graphflag.polytope import _facet_incidence, _vertex_flags
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +416,43 @@ def test_nullspace_n6_finding():
     assert _report_tuple(nullspace_report(6)) == (156, 145, 136, False)
 
 
+def _single_cycle_optional_graphs(n):
+    """Optional-edge graphs whose optional set is one cycle, up to isomorphism,
+    with arbitrary regular edges elsewhere: the generators of the cycle span.
+
+    For each k the optional set is the cycle C_k on vertices 0..k-1 and the
+    regular set R any set of the other pairs, read as a bitmask over them.
+    An isomorphism between two such graphs maps optional edges to optional
+    edges, so it maps C_k onto itself: it is a dihedral symmetry of the k
+    cycle vertices times a permutation of the other n - k vertices, and
+    each element of that group maps such a graph to one of them.  So a
+    graph is kept iff no group element maps its mask to a smaller one
+    (Read's orderly criterion, "Every one a winner", 1978): exactly the
+    first graph of each class in mask order.
+    """
+    for k in range(3, n + 1):
+        cycle = frozenset(
+            (min(i, (i + 1) % k), max(i, (i + 1) % k)) for i in range(k)
+        )
+        others = [p for p in pair_order(n) if p not in cycle]
+        where = {p: t for t, p in enumerate(others)}
+        bit_maps = []  # per group element, the image bit of each pair bit
+        group = itertools.product(
+            range(k), (1, -1), itertools.permutations(range(k, n))
+        )
+        for shift, step, tail in group:
+            perm = [(shift + step * i) % k for i in range(k)] + list(tail)
+            bit_maps.append([
+                1 << where[min(perm[i], perm[j]), max(perm[i], perm[j])]
+                for i, j in others
+            ])
+        for mask in range(1 << len(others)):
+            set_bits = list(bit_indices(mask))
+            if all(sum(bits[t] for t in set_bits) >= mask for bits in bit_maps):
+                regular = frozenset(others[t] for t in set_bits)
+                yield OptionalGraph(n, regular, cycle)
+
+
 def _nx_optional(og):
     g = nx.Graph()
     g.add_nodes_from(range(og.n))
@@ -446,26 +485,48 @@ def _expand_row(og, index):
     return row
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_class_table_rows_match_expand(n):
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_cycle_span_dim_is_the_rank_of_the_expanded_cycle_rows(n):
+    # the closed form classes - forests against the exact rank of every
+    # optional-cycle expansion
     classes = enumerate_graphs(n)
     index = {g: k for k, g in enumerate(classes)}
-    table = _class_table(n, classes)
+    reducer = EchelonRows()
     for og in _single_cycle_optional_graphs(n):
-        assert _expansion_row(og, table, len(classes)) == _expand_row(og, index), og
+        reducer.add(_expand_row(og, index))
+    assert reducer.rank == nullspace_report(n).cycle_span_dim
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
-def test_class_table_covers_every_labelled_graph(n):
+def _is_forest(n, edges):
+    return len(edges) + len(connected_partition(Graph(n, edges)).parts) == n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_forest_counts_kill_cycle_rows_and_are_unitriangular_on_forests(n):
+    # the proof's key step: N_F(H), the number of acyclic edge subsets of H
+    # of forest type F, vanishes on every optional-cycle expansion, and on
+    # the forest classes ordered by edge count it is unitriangular
     classes = enumerate_graphs(n)
-    table = _class_table(n, classes)
-    pairs = pair_order(n)
-    assert sorted(table) == list(range(1 << len(pairs)))
-    for mask, k in table.items():
-        g = Graph(n, frozenset(p for t, p in enumerate(pairs) if mask >> t & 1))
-        assert canonical_form(g)[0] == classes[k]
-
-
+    index = {g: k for k, g in enumerate(classes)}
+    forests = sorted(
+        (g for g in classes if _is_forest(n, g.edges)), key=lambda g: len(g.edges)
+    )
+    counts = {}  # N[H][F]
+    for h in classes:
+        edges = sorted(h.edges)
+        tally = dict.fromkeys(forests, 0)
+        for r in range(len(edges) + 1):
+            for subset in itertools.combinations(edges, r):
+                if _is_forest(n, frozenset(subset)):
+                    tally[canonical_form(Graph(n, frozenset(subset)))[0]] += 1
+        counts[h] = tally
+    for og in _single_cycle_optional_graphs(n):
+        row = _expand_row(og, index)
+        for f in forests:
+            assert sum(c * counts[h][f] for h, c in zip(classes, row)) == 0, (og, f)
+    for i, f in enumerate(forests):
+        assert counts[f][f] == 1
+        assert all(counts[g][f] == 0 for g in forests[:i])
 def test_nullspace_n2_vacuous():
     report = nullspace_report(2)
     assert report.kernel_dim == 0
