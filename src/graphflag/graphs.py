@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import MAX_DIGITS, DigitLimitError, GraphParseError, SizeLimitError
 from .partitions import Partition
+from .vectors import _FormalVector
 
 if TYPE_CHECKING:
     import numpy as np
@@ -383,89 +384,36 @@ def connected_partition(g: Graph) -> Partition:
     return Partition.from_sizes(c.bit_count() for c in comps)
 
 
-class GraphSum:
+class GraphSum(_FormalVector):
     """Integer formal sum of n-vertex graphs, keyed by canonical forms."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        acc: dict[Graph, int] = {}
-        for g, c in dict(terms or {}).items():
-            if not isinstance(g, Graph):
-                raise TypeError(f"GraphSum terms must be Graphs, got {g!r}")
-            if g.n != n:
-                raise ValueError(
-                    f"term on {g.n} vertices in a sum of {n}-vertex graphs"
-                )
-            c = int(c)
-            if c == 0:
-                continue
-            can, _ = canonical_form(g)
-            acc[can] = acc.get(can, 0) + c
-        self.n = n
-        self._terms = {g: c for g, c in acc.items() if c}
+    @staticmethod
+    def _item_order(item: tuple[Graph, int]) -> str:
+        return item[0].bitstring()
 
-    @classmethod
-    def _raw(cls, n: int, canonical_terms: dict) -> "GraphSum":
-        """Internal: build from already-canonical keys without re-searching."""
-        out = object.__new__(cls)
-        out.n = n
-        out._terms = {g: c for g, c in canonical_terms.items() if c}
-        return out
+    def _key(self, g):
+        if not isinstance(g, Graph):
+            raise TypeError(f"GraphSum terms must be Graphs, got {g!r}")
+        if g.n != self.n:
+            raise ValueError(
+                f"term on {g.n} vertices in a sum of {self.n}-vertex graphs"
+            )
+        return canonical_form(g)[0]
 
     @classmethod
     def from_graph(cls, g: Graph, coefficient: int = 1) -> "GraphSum":
         return cls(g.n, {g: coefficient})
 
-    def items(self) -> tuple[tuple[Graph, int], ...]:
-        return tuple(sorted(self._terms.items(), key=lambda t: t[0].bitstring()))
-
     def coefficient(self, g: Graph) -> int:
-        can, _ = canonical_form(g)
-        return self._terms.get(can, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "GraphSum") -> "GraphSum":
-        if not isinstance(other, GraphSum) or other.n != self.n:
-            return NotImplemented
-        out = dict(self._terms)
-        for g, c in other._terms.items():
-            out[g] = out.get(g, 0) + c
-        return GraphSum._raw(self.n, out)
-
-    def __sub__(self, other: "GraphSum") -> "GraphSum":
-        if not isinstance(other, GraphSum) or other.n != self.n:
-            return NotImplemented
-        out = dict(self._terms)
-        for g, c in other._terms.items():
-            out[g] = out.get(g, 0) - c
-        return GraphSum._raw(self.n, out)
-
-    def __neg__(self) -> "GraphSum":
-        return GraphSum._raw(self.n, {g: -c for g, c in self._terms.items()})
-
-    def __mul__(self, scalar: int) -> "GraphSum":
-        scalar = int(scalar)
-        return GraphSum._raw(self.n, {g: scalar * c for g, c in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GraphSum):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self._coeffs.get(canonical_form(g)[0], 0)
 
     def disjoint_union(self, other: "GraphSum") -> "GraphSum":
         """Bilinear extension of the disjoint union of graphs."""
         out: dict[Graph, int] = {}
-        for g, cg in self._terms.items():
-            for h, ch in other._terms.items():
+        for g, cg in self._coeffs.items():
+            for h, ch in other._coeffs.items():
                 can, _ = canonical_form(g.disjoint_union(h))
                 out[can] = out.get(can, 0) + cg * ch
         return GraphSum._raw(self.n + other.n, out)

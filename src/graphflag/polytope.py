@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -303,7 +303,8 @@ def hull_facets(points: Sequence) -> tuple[FacetInequality, ...]:
     coprime integers, with coefficients . x + offset >= 0 on every input
     point and equality exactly on each facet.  Coefficients are zero on
     coordinates that are constant across the points.  Rational points are
-    scaled by one common denominator; all the work is in integers.
+    scaled by one common denominator; all the work is in integers.  Points
+    of unequal length are refused with ValueError.
     """
     return tuple(f for f, _ in _facet_incidence(points))
 
@@ -312,11 +313,15 @@ def _facet_incidence(points: Sequence) -> list[tuple[FacetInequality, int]]:
     """The facets of `hull_facets`, sorted, each with the bitmask of the
     distinct points tight on it: bit i for the i-th distinct point in order
     of first occurrence."""
-    scaled, scale = integer_rows(
+    rows = [
         [p.coefficient(q) for q in enumerate_partitions(p.n)]
         if isinstance(p, ConciseVector) else [Fraction(x) for x in p]
         for p in points
-    )
+    ]
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"hull_facets points differ in length: {lengths}")
+    scaled, scale = integer_rows(rows)
     unique = list(dict.fromkeys(map(tuple, scaled)))
     if len(unique) > MAX_FACET_POINTS:
         raise SizeLimitError(
@@ -329,9 +334,9 @@ def _facet_incidence(points: Sequence) -> list[tuple[FacetInequality, int]]:
             f"hull_facets supports ambient dimension <= {MAX_FACET_DIM}, "
             f"got {ambient}"
         )
-    p0, chart = _affine_chart(unique)
-    if not chart:
+    if len(unique) < 2:  # no points, or one: no facets
         return []
+    p0, chart = _affine_chart(unique)
     diffs = [[a - b for a, b in zip(x, p0)] for x in unique]
     rays = _double_description([(1, *(_dot(row, d) for row in chart)) for d in diffs])
 
@@ -389,21 +394,12 @@ class NullspaceReport:
 
     def to_text_lines(self) -> list[str]:
         return [
-            f"n: {self.n}",
-            f"class_count: {self.class_count}",
-            f"kernel_dim: {self.kernel_dim}",
-            f"cycle_span_dim: {self.cycle_span_dim}",
-            f"spans: {str(self.spans).lower()}",
+            f"{name}: {str(value).lower() if isinstance(value, bool) else value}"
+            for name, value in self.to_json_dict().items()
         ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "class_count": self.class_count,
-            "kernel_dim": self.kernel_dim,
-            "cycle_span_dim": self.cycle_span_dim,
-            "spans": self.spans,
-        }
+        return asdict(self)
 
 
 def nullspace_report(n: int) -> NullspaceReport:

@@ -1,8 +1,10 @@
-"""Integer formal vectors indexed by words or by partitions.
+"""Integer formal sums: one base and the flag-vector classes built on it.
 
-All three vector classes are immutable value objects supporting addition,
-subtraction, integer scaling and exact equality.  Zero coefficients are
-never stored.
+`_FormalVector` holds the arithmetic of every integer formal sum in the
+package: the word vectors and partition vectors here, and `GraphSum` in
+`graphs`.  Sums are immutable value objects supporting addition,
+subtraction, integer scaling and exact equality between sums of one class
+and one size `n`.  Zero coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -13,20 +15,40 @@ from .partitions import Partition
 
 
 class _FormalVector:
-    """Shared arithmetic for integer-coefficient formal sums."""
+    """Integer-coefficient formal sum of size n over a per-class key set.
 
-    __slots__ = ()
+    A subclass supplies `_key`, which validates a key given to the
+    constructor and returns the key to store; it may override `_item_order`,
+    the sort key of `items()`, which sorts by key by default.
+    """
 
-    _coeffs: dict
+    __slots__ = ("n", "_coeffs")
 
-    def _with_coeffs(self, coeffs: dict) -> "_FormalVector":
+    def __init__(self, n: int, coeffs=None):
+        self.n = n
+        acc: dict = {}
+        key_of = self._key
+        for key, c in dict(coeffs or {}).items():
+            key = key_of(key)
+            acc[key] = acc.get(key, 0) + operator.index(c)
+        self._coeffs = {k: c for k, c in acc.items() if c}
+
+    @classmethod
+    def _raw(cls, n: int, coeffs: dict):
+        """Internal: build from stored keys and integer values the program
+        produced itself, dropping zeros without re-checking."""
+        out = object.__new__(cls)
+        out.n = n
+        out._coeffs = {k: c for k, c in coeffs.items() if c}
+        return out
+
+    def _key(self, key):
         raise NotImplementedError
 
-    def _signature(self):
-        raise NotImplementedError
+    _item_order = staticmethod(operator.itemgetter(0))
 
     def _compatible(self, other) -> bool:
-        return type(other) is type(self) and other._signature() == self._signature()
+        return type(other) is type(self) and other.n == self.n
 
     def coefficient(self, key) -> int:
         return self._coeffs.get(key, 0)
@@ -41,13 +63,26 @@ class _FormalVector:
     def __len__(self) -> int:
         return len(self._coeffs)
 
+    def items(self) -> tuple:
+        return tuple(sorted(self._coeffs.items(), key=self._item_order))
+
+    def to_mapping(self) -> dict:
+        return dict(self.items())
+
+    def to_text(self) -> str:
+        return " ".join(f"{k}:{c}" for k, c in self.items()) or "0"
+
+    def __repr__(self) -> str:
+        body = {str(k): c for k, c in self.items()}
+        return f"{type(self).__name__}({self.n}, {body!r})"
+
     def __add__(self, other):
         if not self._compatible(other):
             return NotImplemented
         out = dict(self._coeffs)
         for k, c in other._coeffs.items():
             out[k] = out.get(k, 0) + c
-        return self._with_coeffs(out)
+        return self._raw(self.n, out)
 
     def __sub__(self, other):
         if not self._compatible(other):
@@ -55,14 +90,14 @@ class _FormalVector:
         out = dict(self._coeffs)
         for k, c in other._coeffs.items():
             out[k] = out.get(k, 0) - c
-        return self._with_coeffs(out)
+        return self._raw(self.n, out)
 
     def __neg__(self):
-        return self._with_coeffs({k: -c for k, c in self._coeffs.items()})
+        return self._raw(self.n, {k: -c for k, c in self._coeffs.items()})
 
     def __mul__(self, scalar):
         scalar = operator.index(scalar)
-        return self._with_coeffs({k: scalar * c for k, c in self._coeffs.items()})
+        return self._raw(self.n, {k: scalar * c for k, c in self._coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -74,123 +109,56 @@ class _FormalVector:
     __hash__ = None
 
 
-def _clean_word_coeffs(length: int, coeffs, alphabet: str) -> dict:
-    clean = {}
-    for word, c in dict(coeffs or {}).items():
+class _WordVector(_FormalVector):
+    """Integer combination of length-n words over the class's alphabet."""
+
+    __slots__ = ()
+
+    alphabet: str
+
+    def _key(self, word):
         if (
             not isinstance(word, str)
-            or len(word) != length
-            or any(ch not in alphabet for ch in word)
+            or len(word) != self.n
+            or any(ch not in self.alphabet for ch in word)
         ):
             raise ValueError(
-                f"key {word!r} is not a length-{length} word over {alphabet!r}"
+                f"key {word!r} is not a length-{self.n} word over {self.alphabet!r}"
             )
-        c = operator.index(c)
-        if c:
-            clean[word] = c
-    return clean
+        return word
 
 
-class VerboseVector(_FormalVector):
+class VerboseVector(_WordVector):
     """Integer combination of length-n words over the letters a and b.
 
     The left end of a word corresponds to the first vertex removed in a
     shelling.  The 0-vertex case is a scalar on the empty word.
     """
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ()
 
-    def __init__(self, n: int, coeffs=None):
-        self.n = n
-        self._coeffs = _clean_word_coeffs(n, coeffs, "ab")
-
-    @classmethod
-    def _raw(cls, n: int, coeffs: dict) -> "VerboseVector":
-        """Internal: build from length-n words over a, b and integer values
-        the program produced itself, dropping zeros without re-checking."""
-        out = object.__new__(cls)
-        out.n = n
-        out._coeffs = {w: c for w, c in coeffs.items() if c}
-        return out
-
-    def _with_coeffs(self, coeffs):
-        return VerboseVector._raw(self.n, coeffs)
-
-    def _signature(self):
-        return self.n
-
-    def items(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(self._coeffs.items()))
-
-    def to_mapping(self) -> dict[str, int]:
-        return dict(self.items())
-
-    def to_text(self) -> str:
-        return " ".join(f"{w}:{c}" for w, c in self.items()) or "0"
-
-    def __repr__(self) -> str:
-        return f"VerboseVector({self.n}, {dict(self.items())!r})"
+    alphabet = "ab"
 
 
-class EdgeWordVector(_FormalVector):
+class EdgeWordVector(_WordVector):
     """Integer combination of length-m words over the letters a, b and c."""
 
-    __slots__ = ("m", "_coeffs")
+    __slots__ = ()
 
-    def __init__(self, m: int, coeffs=None):
-        self.m = m
-        self._coeffs = _clean_word_coeffs(m, coeffs, "abc")
+    alphabet = "abc"
 
-    def _with_coeffs(self, coeffs):
-        return EdgeWordVector(self.m, coeffs)
-
-    def _signature(self):
-        return self.m
-
-    def items(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(self._coeffs.items()))
-
-    def to_mapping(self) -> dict[str, int]:
-        return dict(self.items())
-
-    def to_text(self) -> str:
-        return " ".join(f"{w}:{c}" for w, c in self.items()) or "0"
-
-    def __repr__(self) -> str:
-        return f"EdgeWordVector({self.m}, {dict(self.items())!r})"
+    @property
+    def m(self) -> int:
+        """The word length, one letter per removed edge."""
+        return self.n
 
 
 class ConciseVector(_FormalVector):
     """Integer combination of partitions of n."""
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ()
 
-    def __init__(self, n: int, coeffs=None):
-        self.n = n
-        clean = {}
-        for part, c in dict(coeffs or {}).items():
-            if not isinstance(part, Partition) or part.n != n:
-                raise ValueError(f"key {part!r} is not a partition of {n}")
-            c = operator.index(c)
-            if c:
-                clean[part] = c
-        self._coeffs = clean
-
-    def _with_coeffs(self, coeffs):
-        return ConciseVector(self.n, coeffs)
-
-    def _signature(self):
-        return self.n
-
-    def items(self) -> tuple[tuple[Partition, int], ...]:
-        return tuple(sorted(self._coeffs.items()))
-
-    def to_mapping(self) -> dict[Partition, int]:
-        return dict(self.items())
-
-    def to_text(self) -> str:
-        return " ".join(f"{p.to_text()}:{c}" for p, c in self.items()) or "0"
-
-    def __repr__(self) -> str:
-        body = {p.to_text(): c for p, c in self.items()}
-        return f"ConciseVector({self.n}, {body!r})"
+    def _key(self, part):
+        if not isinstance(part, Partition) or part.n != self.n:
+            raise ValueError(f"key {part!r} is not a partition of {self.n}")
+        return part

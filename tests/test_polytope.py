@@ -98,6 +98,18 @@ def test_single_point_has_no_facets():
     assert hull_facets([(3, 4), (3, 4)]) == ()
 
 
+def test_no_points_have_no_facets():
+    assert hull_facets([]) == ()
+
+
+def test_points_of_unequal_length_are_refused():
+    with pytest.raises(ValueError, match="differ in length"):
+        hull_facets([(0, 0), (1, 0, 5), (0, 1)])
+    mixed = [concise_flag_vector(Graph(n, frozenset())) for n in (3, 4)]
+    with pytest.raises(ValueError, match="differ in length"):
+        hull_facets(mixed)
+
+
 def test_three_vertex_hull_facets_frozen():
     report = hull_report(3, include_facets=True)
     assert set(report.facets) == {

@@ -1,6 +1,18 @@
-import pytest
+import itertools
 
-from graphflag import ConciseVector, EdgeWordVector, Partition, VerboseVector
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from graphflag import (
+    ConciseVector,
+    EdgeWordVector,
+    GraphSum,
+    Partition,
+    VerboseVector,
+    enumerate_partitions,
+)
+from graphflag.graphs import Graph, canonical_form, pair_order
 
 
 def test_verbose_algebra_and_zero_pruning():
@@ -47,3 +59,71 @@ def test_text_serialisation_is_sorted():
 def test_empty_word_scalar():
     one = VerboseVector(0, {"": 1})
     assert (one + one).coefficient("") == 2
+
+
+def _words(alphabet):
+    return lambda n: ["".join(w) for w in itertools.product(alphabet, repeat=n)]
+
+
+def _labelled_graphs(n):
+    return [
+        Graph.from_bitstring(n, bits)
+        for bits in _words("01")(len(pair_order(n)))
+    ]
+
+
+# every integer formal sum in the package, with its valid keys at size n
+# and the order its items() follow (None: by key)
+_SUMS = {
+    VerboseVector: (_words("ab"), None),
+    EdgeWordVector: (_words("abc"), None),
+    ConciseVector: (enumerate_partitions, None),
+    GraphSum: (_labelled_graphs, Graph.bitstring),
+}
+
+
+@pytest.mark.parametrize("cls", list(_SUMS), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+def test_formal_sum_laws(cls, data):
+    keys, order = _SUMS[cls]
+    terms = st.dictionaries(st.sampled_from(keys(3)), st.integers(-4, 4), max_size=6)
+    a, b = cls(3, data.draw(terms)), cls(3, data.draw(terms))
+    assert a + b - b == a
+    assert 2 * a == a + a
+    assert (-a + a).is_zero
+    items = a.items()
+    assert len(a) == len(items) == len(a.to_mapping())
+    assert list(a.to_mapping().items()) == list(items)
+    assert list(items) == sorted(items, key=lambda t: order(t[0]) if order else t[0])
+    assert all(c and a.coefficient(k) == c for k, c in items)
+
+    other_kind = next(k for k in _SUMS if k is not cls)
+    with pytest.raises(TypeError):
+        a + other_kind(3)
+    with pytest.raises(TypeError):
+        a - cls(4, {keys(4)[0]: 1})
+
+    if cls is GraphSum:
+        g = data.draw(st.sampled_from(keys(3)))
+        p, q = (tuple(data.draw(st.permutations(range(3)))) for _ in "pq")
+        both = GraphSum.from_graph(g.relabel(p)) + GraphSum.from_graph(g.relabel(q))
+        assert both.items() == ((canonical_form(g)[0], 2),)
+
+
+def test_graph_sum_coefficients_are_integers():
+    g = Graph.from_edges(3, [(0, 1)])
+    gs = GraphSum.from_graph(g)
+    for make in (
+        lambda: GraphSum(3, {g: 2.5}),
+        lambda: GraphSum.from_graph(g, 2.5),
+        lambda: gs * 2.5,
+        lambda: 2.5 * gs,
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert GraphSum(3, {g: True}) == gs == gs * True
+    # a zero coefficient does not skip the checks on its term
+    with pytest.raises(TypeError):
+        GraphSum(3, {"3:0-1": 0})
+    with pytest.raises(ValueError):
+        GraphSum(3, {Graph(2, frozenset()): 0})
