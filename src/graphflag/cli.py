@@ -12,7 +12,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import GraphParseError, SizeLimitError
+from .errors import MAX_DIGITS, DigitLimitError, GraphParseError, SizeLimitError
 from .flagvectors import (
     MAX_TOTAL_N,
     basis_graph,
@@ -49,14 +49,20 @@ def _vector_json(vec):
 
 
 def _order(text: str) -> int:
-    """The argument type of every --n: a nonnegative integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
-    return n
+    """The value of every --n: a nonnegative integer in ASCII digits, read as
+    numbers in graph and partition text are.  It is read after argparse,
+    which would report a size-limit refusal as a usage error."""
+    digits = text.strip()
+    negative = digits.startswith("-")
+    if negative:
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(f"argument --n: invalid value {text!r} (ASCII digits)")
+    if len(digits) > MAX_DIGITS:
+        raise DigitLimitError(f"--n of {len(digits)} digits (at most {MAX_DIGITS})")
+    if negative:
+        raise UsageError(f"argument --n: must be nonnegative, got -{digits}")
+    return int(digits)
 
 
 def build_parser() -> _Parser:
@@ -89,25 +95,25 @@ def build_parser() -> _Parser:
     )
 
     p = sub.add_parser("rank", parents=[common], help="span dimension at order n")
-    p.add_argument("--n", type=_order, required=True)
+    p.add_argument("--n", required=True)
 
     p = sub.add_parser("hull", parents=[common], help="convex hull analysis")
-    p.add_argument("--n", type=_order, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--mode", required=True, choices=("vertices", "facets"))
 
     p = sub.add_parser("nullspace", parents=[common], help="null-space report")
-    p.add_argument("--n", type=_order, required=True)
+    p.add_argument("--n", required=True)
 
     p = sub.add_parser(
         "average", parents=[common], help="totals and means over all labelled graphs"
     )
-    p.add_argument("--n", type=_order, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--word", help="restrict to one word over a,b")
 
     p = sub.add_parser(
         "enumerate", parents=[common], help="isomorphism classes in canonical order"
     )
-    p.add_argument("--n", type=_order, required=True)
+    p.add_argument("--n", required=True)
 
     p = sub.add_parser(
         "basis", parents=[common], help="basis graph sum for a partition"
@@ -328,6 +334,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("no command given (see --help)")
+        if hasattr(args, "n"):
+            args.n = _order(args.n)
         out = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"graphflag: usage error: {exc}", file=sys.stderr)

@@ -4,8 +4,8 @@ The verbose form comes from one recursion over labelled vertex subsets,
 f(S) = sum over v in S of w_S(v) f(S - v), with optional edges folded into
 the step weight, so no canonical form is searched.  The concise form is
 multiplicative over connected components, so it is the part-union product
-of each component's recursion, inverted through the anchor words; the
-subgraph form rescales it coordinatewise.  Also the complement transform, the
+of each component's recursion, peeled into concise form in anchor-word
+order; the subgraph form rescales it coordinatewise.  Also the complement transform, the
 total over all labelled graphs, basis sums for partitions, anchor words and
 the edge-removal word vector.  All inputs may be ordinary graphs,
 optional-edge graphs or formal graph sums (extended linearly).
@@ -25,6 +25,7 @@ from .graphs import (
     bit_indices,
     component_masks,
     expand,
+    neighbor_masks,
 )
 from .partitions import Partition, enumerate_partitions, multinomial
 from .vectors import ConciseVector, EdgeWordVector, VerboseVector
@@ -36,17 +37,23 @@ MAX_BASIS_N = 8
 MAX_EDGE_FLAG_EDGES = 7
 
 GraphLike = Graph | OptionalGraph | GraphSum
+Masks = tuple[int, ...]  # per-vertex neighbour bitmasks
 
 
-def _terms(g: GraphLike) -> list[tuple[OptionalGraph, int]]:
-    """The input as signed labelled terms; a GraphSum's keys are used as stored."""
+def _terms(g: GraphLike, bound: int, forms: str) -> list[tuple[Masks, Masks, int]]:
+    """Signed labelled terms as (regular masks, optional masks, coefficient),
+    refusing n > bound first; a GraphSum's keys are used as stored."""
     if isinstance(g, GraphSum):
-        return [(OptionalGraph.from_graph(t), c) for t, c in g.items()]
-    if isinstance(g, OptionalGraph):
-        return [(g, 1)]
-    if isinstance(g, Graph):
-        return [(OptionalGraph.from_graph(g), 1)]
-    raise TypeError(f"expected Graph, OptionalGraph or GraphSum, got {g!r}")
+        terms = [(t.edges, (), c) for t, c in g.items()]
+    elif isinstance(g, OptionalGraph):
+        terms = [(g.regular, g.optional, 1)]
+    elif isinstance(g, Graph):
+        terms = [(g.edges, (), 1)]
+    else:
+        raise TypeError(f"expected Graph, OptionalGraph or GraphSum, got {g!r}")
+    if g.n > bound:
+        raise SizeLimitError(f"{forms} flag vectors support n <= {bound}, got n={g.n}")
+    return [(neighbor_masks(g.n, r), neighbor_masks(g.n, o), c) for r, o, c in terms]
 
 
 def component_scale(size: int) -> int:
@@ -89,8 +96,8 @@ def _unpack(n: int, packed: int, width: int) -> dict[str, int]:
     }
 
 
-def _verbose_dp(og: OptionalGraph) -> VerboseVector:
-    """Verbose vector of one labelled optional graph.
+def _verbose_dp(reg: Masks, opt: Masks) -> VerboseVector:
+    """Verbose vector of one labelled optional graph, from its neighbour masks.
 
     f(S) is the sum over v in S of w_S(v) f(S - v), the letter of v leading.
     Each optional edge is charged to the endpoint removed first, so the
@@ -109,9 +116,7 @@ def _verbose_dp(og: OptionalGraph) -> VerboseVector:
     at K12).  W is that bound's width rounded up to whole bytes, so no slot
     carries into the next and f(full) unpacks bytewise.
     """
-    n = og.n
-    reg = Graph(n, og.regular).neighbor_masks()
-    opt = Graph(n, og.optional).neighbor_masks()
+    n = len(reg)
     d = max((m.bit_count() for m in reg), default=0)
     width = _slot_bytes(math.factorial(n) * (1 + d) ** n)
     bits = 8 * width
@@ -144,28 +149,19 @@ def verbose_flag_vector(g: GraphLike) -> VerboseVector:
     f(S - v) on each labelled term, with optional edges folded into the
     step weight.
     """
-    terms = _terms(g)
-    if g.n > MAX_VERBOSE_N:
-        raise SizeLimitError(
-            f"verbose flag vectors support n <= {MAX_VERBOSE_N}, got n={g.n}"
-        )
     total = VerboseVector(g.n)
-    for og, coeff in terms:
-        total += coeff * _verbose_dp(og)
+    for reg, opt, coeff in _terms(g, MAX_VERBOSE_N, "verbose"):
+        total += coeff * _verbose_dp(reg, opt)
     return total
 
 
 # ---------------------------------------------------------------------------
 # concise and subgraph forms
 
-def _component(og: OptionalGraph, comp: int) -> OptionalGraph:
-    # the part of og on the vertex set comp, relabelled to 0..k-1 in order
-    index = {v: k for k, v in enumerate(bit_indices(comp))}
-
-    def inside(edges):
-        return frozenset((index[i], index[j]) for i, j in edges if comp >> i & 1)
-
-    return OptionalGraph(len(index), inside(og.regular), inside(og.optional))
+def _restrict(masks: Masks, comp: int) -> Masks:
+    # the masks of the vertices of a component, relabelled to 0..k-1 in order
+    index = {v: 1 << k for k, v in enumerate(bit_indices(comp))}
+    return tuple(sum(index[u] for u in bit_indices(masks[v])) for v in index)
 
 
 @lru_cache(maxsize=512)
@@ -174,8 +170,8 @@ def _partition(parts: tuple[int, ...]) -> Partition:
     return Partition(parts)
 
 
-def _concise_term(og: OptionalGraph) -> dict[Partition, int]:
-    comps = component_masks(Graph(og.n, og.regular | og.optional).neighbor_masks())
+def _concise_term(reg: Masks, opt: Masks) -> dict[Partition, int]:
+    comps = component_masks([r | o for r, o in zip(reg, opt)])
     big = max((c.bit_count() for c in comps), default=0)
     if big > MAX_VERBOSE_N:
         raise SizeLimitError(
@@ -187,7 +183,8 @@ def _concise_term(og: OptionalGraph) -> dict[Partition, int]:
         if comp & (comp - 1) == 0:
             ones += 1
             continue
-        vec = concise_from_verbose(_verbose_dp(_component(og, comp)))
+        verbose = _verbose_dp(_restrict(reg, comp), _restrict(opt, comp))
+        vec = concise_from_verbose(verbose)
         product: dict[tuple[int, ...], int] = {}
         for parts, c in coeffs.items():
             for part, d in vec.items():
@@ -208,17 +205,11 @@ def concise_flag_vector(g: GraphLike) -> ConciseVector:
     are filed under the unions of their parts.  The whole graph may have
     up to MAX_CONCISE_N vertices.
     """
-    terms = _terms(g)
-    if g.n > MAX_CONCISE_N:
-        raise SizeLimitError(
-            f"concise and subgraph flag vectors support n <= {MAX_CONCISE_N}, "
-            f"got n={g.n}"
-        )
     total: dict[Partition, int] = {}
-    for og, coeff in terms:
-        for part, c in _concise_term(og).items():
+    for reg, opt, coeff in _terms(g, MAX_CONCISE_N, "concise and subgraph"):
+        for part, c in _concise_term(reg, opt).items():
             total[part] = total.get(part, 0) + coeff * c
-    return ConciseVector(g.n, total)
+    return ConciseVector._raw(g.n, total)
 
 
 def subgraph_flag_vector(g: GraphLike) -> ConciseVector:
@@ -231,7 +222,7 @@ def subgraph_flag_vector(g: GraphLike) -> ConciseVector:
     concise = concise_flag_vector(g)
     n = concise.n
     scaled = {p: c * multinomial(n, p.parts) * _part_scale(p) for p, c in concise.items()}
-    return ConciseVector(n, scaled)
+    return ConciseVector._raw(n, scaled)
 
 
 def scale_subgraph_to_concise(v: ConciseVector) -> ConciseVector:
@@ -251,11 +242,20 @@ def scale_subgraph_to_concise(v: ConciseVector) -> ConciseVector:
                 "input is not a subgraph-form vector"
             )
         out[part] = q
-    return ConciseVector(v.n, out)
+    return ConciseVector._raw(v.n, out)
 
 
 # ---------------------------------------------------------------------------
 # conversions between verbose and concise
+
+def _check_conversion_size(n: int) -> None:
+    # every conversion handles up to 2^n words, so refuse before any work
+    if n > MAX_VERBOSE_N:
+        raise SizeLimitError(
+            f"conversions between verbose and concise forms support "
+            f"n <= {MAX_VERBOSE_N}, got n={n}"
+        )
+
 
 @lru_cache(maxsize=512)  # holds every partition of 0..MAX_VERBOSE_N
 def shuffle(partition: Partition) -> VerboseVector:
@@ -266,6 +266,7 @@ def shuffle(partition: Partition) -> VerboseVector:
     are packed as in _verbose_dp; every slot is at most that mass <= n!.
     """
     n = partition.n
+    _check_conversion_size(n)
     words = tuple("b" * (m - 1) + "a" for m in partition.parts)
     width = _slot_bytes(math.factorial(n))
     bits = 8 * width
@@ -295,6 +296,7 @@ def verbose_from_concise(v: ConciseVector) -> VerboseVector:
     Each partition contributes its coefficient times the product of component
     scales times the shuffle of its parts.
     """
+    _check_conversion_size(v.n)
     total: dict[str, int] = {}
     for part, c in v.items():
         scale = c * _part_scale(part)
@@ -312,46 +314,51 @@ def anchor_word(partition: Partition) -> str:
     return "".join("b" * (m - 1) + "a" for m in sorted(partition.parts))
 
 
-@lru_cache(maxsize=16)
-def _anchor_system(n: int):
-    # partitions by anchor word, their anchors, and the scaled shuffle
-    # coefficients at those anchors (upper triangular, nonzero diagonal)
-    order = sorted(enumerate_partitions(n), key=anchor_word)
-    anchors = [anchor_word(p) for p in order]
-    rows = [
-        [_part_scale(p) * shuffle(p).coefficient(w) for w in anchors] for p in order
-    ]
-    return order, anchors, rows
+@lru_cache(maxsize=MAX_VERBOSE_N + 1)
+def _anchor_system(n: int) -> tuple[tuple[Partition, str, int, int], ...]:
+    """(partition, anchor word, scale, diagonal) per partition of n, in
+    anchor-word order.  An anchor word reads only as whole part-words in
+    non-decreasing size, so a partition's shuffle meets its own anchor once
+    per order of its equal parts (diagonal = scale * prod of mult_m! over
+    sizes m) and no earlier anchor: the system is triangular."""
+    out = []
+    for part in sorted(enumerate_partitions(n), key=anchor_word):
+        scale = _part_scale(part)
+        orders = (math.factorial(part.parts.count(m)) for m in set(part.parts))
+        out.append((part, anchor_word(part), scale, scale * math.prod(orders)))
+    return tuple(out)
 
 
 def concise_from_verbose(v: VerboseVector) -> ConciseVector:
-    """Invert verbose_from_concise using the anchor-word coordinates.
+    """Invert verbose_from_concise by peeling partitions in anchor-word order.
 
-    Ordered by anchor word the system is triangular with nonzero diagonal, so
-    the concise coefficients are determined by forward substitution in
-    integers.  The result is re-expanded and compared against every
-    coordinate of the input; a mismatch means the input lies outside the span
-    of graph flag vectors.
+    A partition's coefficient is the residual at its anchor word divided by
+    the diagonal, and its scaled shuffle is then taken off the residual;
+    earlier partitions are all that can reach that anchor, so this is
+    forward substitution in integers.  The final residual is the input minus
+    the result's verbose expansion: a nonzero one means the input lies
+    outside the span of graph flag vectors.
     """
-    order, anchors, rows = _anchor_system(v.n)
-    coeffs: list[int] = []
-    for j in range(len(order)):
-        rhs = v.coefficient(anchors[j])
-        rhs -= sum(coeffs[i] * rows[i][j] for i in range(j))
-        q, r = divmod(rhs, rows[j][j])
+    _check_conversion_size(v.n)
+    residual = dict(v._coeffs)
+    coeffs: dict[Partition, int] = {}
+    for part, anchor, scale, diagonal in _anchor_system(v.n):
+        q, r = divmod(residual.get(anchor, 0), diagonal)
         if r:
             raise ValueError(
                 "anchor coordinates give non-integral concise coefficients; "
                 "input is outside the integral span"
             )
-        coeffs.append(q)
-    result = ConciseVector(v.n, {p: c for p, c in zip(order, coeffs) if c})
-    if verbose_from_concise(result) != v:
+        if q:
+            coeffs[part] = q
+            for w, c in shuffle(part)._coeffs.items():
+                residual[w] = residual.get(w, 0) - q * scale * c
+    if any(residual.values()):
         raise ValueError(
             "verbose vector is inconsistent with its anchor coordinates; "
             "input is outside the span of graph flag vectors"
         )
-    return result
+    return ConciseVector._raw(v.n, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -498,4 +505,4 @@ def edge_flag_vector(g: Graph) -> EdgeWordVector:
             deg[w] -= 1
         for word, c in acc.items():
             total[word] = total.get(word, 0) + c
-    return EdgeWordVector(len(edges), total)
+    return EdgeWordVector._raw(len(edges), total)

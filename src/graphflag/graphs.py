@@ -49,6 +49,15 @@ def pair_order(n: int) -> tuple[Edge, ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
+def neighbor_masks(n: int, edges: Iterable[Edge]) -> tuple[int, ...]:
+    """Per-vertex adjacency of edges on vertices 0..n-1, as bitmasks."""
+    masks = [0] * n
+    for i, j in edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return tuple(masks)
+
+
 def _check_edges(n: int, edges: frozenset) -> None:
     for e in edges:
         if (
@@ -87,11 +96,7 @@ class Graph:
 
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex adjacency as bitmasks over vertex indices."""
-        masks = [0] * self.n
-        for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return tuple(masks)
+        return neighbor_masks(self.n, self.edges)
 
     def relabel(self, perm: tuple[int, ...]) -> "Graph":
         """Apply a vertex relabelling, perm[old] = new."""
@@ -113,9 +118,10 @@ class Graph:
 
     @classmethod
     def from_bitstring(cls, n: int, bits: str) -> "Graph":
-        pairs = pair_order(n)
-        if len(bits) != len(pairs) or any(ch not in "01" for ch in bits):
+        # the length first: pair_order(n) is cached and has n(n-1)/2 pairs
+        if len(bits) != n * (n - 1) // 2 or any(ch not in "01" for ch in bits):
             raise ValueError(f"bitstring {bits!r} does not fit n={n}")
+        pairs = pair_order(n)
         return cls(n, frozenset(p for p, ch in zip(pairs, bits) if ch == "1"))
 
     def serialize(self) -> str:

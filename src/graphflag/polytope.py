@@ -304,7 +304,8 @@ def hull_facets(points: Sequence) -> tuple[FacetInequality, ...]:
     point and equality exactly on each facet.  Coefficients are zero on
     coordinates that are constant across the points.  Rational points are
     scaled by one common denominator; all the work is in integers.  Points
-    of unequal length are refused with ValueError.
+    of unequal length, ConciseVectors of different n, and ConciseVectors
+    mixed with coordinate sequences are refused with ValueError.
     """
     return tuple(f for f, _ in _facet_incidence(points))
 
@@ -313,6 +314,7 @@ def _facet_incidence(points: Sequence) -> list[tuple[FacetInequality, int]]:
     """The facets of `hull_facets`, sorted, each with the bitmask of the
     distinct points tight on it: bit i for the i-th distinct point in order
     of first occurrence."""
+    points = list(points)
     rows = [
         [p.coefficient(q) for q in enumerate_partitions(p.n)]
         if isinstance(p, ConciseVector) else [Fraction(x) for x in p]
@@ -321,6 +323,13 @@ def _facet_incidence(points: Sequence) -> list[tuple[FacetInequality, int]]:
     lengths = sorted({len(row) for row in rows})
     if len(lengths) > 1:
         raise ValueError(f"hull_facets points differ in length: {lengths}")
+    # equal lengths are not enough: p(0) = p(1) = 1, and a sequence has no n
+    kinds = {
+        f"ConciseVector n={p.n}" if isinstance(p, ConciseVector) else "sequence"
+        for p in points
+    }
+    if len(kinds) > 1:
+        raise ValueError(f"hull_facets points mix kinds: {sorted(kinds)}")
     scaled, scale = integer_rows(rows)
     unique = list(dict.fromkeys(map(tuple, scaled)))
     if len(unique) > MAX_FACET_POINTS:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +241,18 @@ def test_out_of_bound_n_refused_before_work(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_order_follows_the_number_rule_of_graph_text(capsys):
+    # ASCII digits only: int() alone would read the first three as 3, 10, 3
+    for text in ("\u0663", "1_0", "+3", "3.0", ""):
+        code, out, err = run(capsys, "rank", "--n", text)
+        assert code == 1 and out == "" and "usage error" in err
+    code, out, err = run(capsys, "rank", "--n", "9" * 5000)
+    assert code == 2 and out == "" and "size limit" in err
+    assert "5000 digits" in err and len(err) < 200
+    code, out, _ = run(capsys, "rank", "--n", " 3 ")
+    assert code == 0 and out.startswith("n: 3\n")
+
+
 def test_basis_partition_needs_ascii_digits(capsys):
     for text in ("[\u0663+\u0661]", "[1_0]"):
         code, out, err = run(capsys, "basis", "--partition", text)
@@ -307,5 +320,27 @@ def test_census_json_is_byte_identical(capsys, argv, digest):
     # SHA-256 of the JSON printed when vertices came from one exact LP per
     # point and null-space rows from expand() and canonical forms
     code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+FLAGVEC_CORPUS = Path(__file__).with_name("flagvec_corpus.txt")
+
+
+@pytest.mark.parametrize(
+    "form, digest",
+    [
+        ("verbose", "d044de6b06261477d21aa836475eb4d49d5f6a90d464dd2e7ccc3808c535524e"),
+        ("concise", "a02d14a1561992b34b444436e82ee0aa1cbc7a1acdd284ae872314a932d9cd57"),
+        ("subgraph", "94c8dd08bc5d586eceb30ee0cdbc3ca2cf62262affdfbbb71be3070f9f464c73"),
+    ],
+)
+def test_flagvec_json_is_byte_identical(capsys, form, digest):
+    # SHA-256 of the JSON printed when each component's concise vector came
+    # from a p(n) x p(n) anchor table, re-expanded and compared on all words;
+    # the corpus holds all 156 classes on 6 vertices, graphs with ? edges on
+    # 2-8 vertices and graphs on 9-12 vertices
+    argv = ("flagvec", "--form", form, "--format", "json", "--graph-file")
+    code, out, _ = run(capsys, *argv, str(FLAGVEC_CORPUS))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

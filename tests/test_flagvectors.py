@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -36,7 +37,7 @@ from graphflag import (
     verbose_flag_vector,
     verbose_from_concise,
 )
-from graphflag.flagvectors import MAX_CONCISE_N
+from graphflag.flagvectors import MAX_CONCISE_N, MAX_VERBOSE_N, _anchor_system
 from graphflag.selftest import _shelling_sum, _subgraph_sum
 from graphflag.vectors import EdgeWordVector
 
@@ -285,12 +286,58 @@ def test_concise_from_verbose_hand_value():
     ) == _cv(4, {(1, 1, 1, 1): 1})
 
 
+NON_INTEGRAL = (
+    "anchor coordinates give non-integral concise coefficients; "
+    "input is outside the integral span"
+)
+OUTSIDE_SPAN = (
+    "verbose vector is inconsistent with its anchor coordinates; "
+    "input is outside the span of graph flag vectors"
+)
+
+
 def test_concise_from_verbose_rejects_vectors_outside_the_span():
-    with pytest.raises(ValueError):
+    # [1+1] has anchor aa and diagonal 2!, so aa:1 gives it the coefficient 1/2
+    with pytest.raises(ValueError, match=f"^{NON_INTEGRAL}$"):
+        concise_from_verbose(VerboseVector(2, {"aa": 1}))
+    # every anchor is matched, the words ab and baa are not
+    with pytest.raises(ValueError, match=f"^{OUTSIDE_SPAN}$"):
         concise_from_verbose(VerboseVector(2, {"ab": 1}))
     bad = VerboseVector(3, {"aaa": 6, "aba": 2, "baa": 5})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{OUTSIDE_SPAN}$"):
         concise_from_verbose(bad)
+
+
+def test_anchor_system_closed_form_diagonal():
+    # the diagonal scale * prod mult_m! is the scaled shuffle at the anchor,
+    # and every shuffle vanishes at the anchors before its own
+    for n in range(MAX_VERBOSE_N + 1):
+        system = _anchor_system(n)
+        assert sorted(p for p, *_ in system) == sorted(enumerate_partitions(n))
+        for i, (part, anchor, scale, diagonal) in enumerate(system):
+            assert anchor == anchor_word(part)
+            vec = shuffle(part)
+            assert diagonal == scale * vec.coefficient(anchor) != 0
+            assert all(vec.coefficient(a) == 0 for _, a, _, _ in system[:i])
+
+
+def test_conversions_refuse_beyond_the_verbose_bound():
+    n = MAX_VERBOSE_N + 1
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        shuffle(_part(*[1] * 30))  # a merge memo of 2^30 states
+    with pytest.raises(SizeLimitError):
+        verbose_from_concise(concise_flag_vector(Graph(30, frozenset())))
+    with pytest.raises(SizeLimitError):
+        concise_from_verbose(VerboseVector(20, {"a" * 20: math.factorial(20)}))
+    # one past the bound, even for a zero vector
+    with pytest.raises(SizeLimitError):
+        verbose_from_concise(ConciseVector(n))
+    with pytest.raises(SizeLimitError):
+        concise_from_verbose(VerboseVector(n))
+    with pytest.raises(SizeLimitError):
+        shuffle(_part(n))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

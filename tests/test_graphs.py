@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,16 @@ def test_serialize_round_trip():
         for g in enumerate_graphs(n):
             assert Graph.from_bitstring(n, g.bitstring()) == g
             assert parse_graph(g.to_text()).as_graph() == g
+
+
+def test_from_bitstring_checks_the_length_before_listing_pairs():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="does not fit"):
+        Graph.from_bitstring(10**6, "")  # about 5 * 10^11 pairs
+    assert time.perf_counter() - start < 1.0
+    for n, bits in ((3, "11"), (3, "1111"), (3, "1a1")):
+        with pytest.raises(ValueError, match="does not fit"):
+            Graph.from_bitstring(n, bits)
 
 
 _NUMPY_PROBE = """

@@ -110,6 +110,19 @@ def test_points_of_unequal_length_are_refused():
         hull_facets(mixed)
 
 
+def test_partition_vectors_of_different_n_are_refused():
+    # p(0) = p(1) = 1, so the lengths agree
+    points = [concise_flag_vector(Graph(n, frozenset())) for n in (0, 1)]
+    with pytest.raises(ValueError, match="mix kinds"):
+        hull_facets(points)
+
+
+def test_partition_vectors_mixed_with_sequences_are_refused():
+    point = concise_flag_vector(Graph(3, frozenset({(0, 1)})))
+    with pytest.raises(ValueError, match="mix kinds"):
+        hull_facets([point, (1, 0, 0), (0, 1, 0)])
+
+
 def test_three_vertex_hull_facets_frozen():
     report = hull_report(3, include_facets=True)
     assert set(report.facets) == {
