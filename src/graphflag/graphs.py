@@ -8,7 +8,13 @@ is "n:bitstring" with one bit per pair in that order.
 Canonical forms are found by exhaustive search over all n! relabellings
 (vectorised with numpy, but still the plain exhaustive search), taking the
 lexicographically least adjacency bitstring.  numpy is imported by that
-search alone, so parsing and flag vectors never load it.
+search alone, so parsing, flag vectors and class enumeration never load it.
+
+Classes are enumerated on the same least-bitstring form by Read's orderly
+generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978; McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998): each least
+string is grown from its parent, and an exact pure-Python search over
+ordered vertex partitions decides whether a candidate is least.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ if TYPE_CHECKING:
 Edge = tuple[int, int]
 
 MAX_CANONICAL_N = 10  # exhaustive n! relabelling search
-MAX_ENUMERATE_N = 7
+MAX_ENUMERATE_N = 8
 MAX_EXPAND_OPTIONAL = 20
 MAX_COMPLEMENT_N = 256
 
@@ -343,27 +349,83 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     return Graph(n, edges), _inverse_perm(q)
 
 
+def _is_least(masks: Sequence[int], code: int) -> bool:
+    """Whether `code` is the least adjacency bitstring over all relabellings
+    of the graph whose per-vertex neighbour masks are `masks`.
+
+    `code` packs that graph's own bitstring, first pair in the top bit.  The
+    search fixes the relabelled string row by row: row k holds the pairs
+    (k, k+1), ..., (k, n-1).  A branch is an ordered partition of the
+    unplaced vertices into cells, fixed by rows 0..k-1; position k takes a
+    vertex v of the first cell, and every cell splits into its
+    non-neighbours of v followed by its neighbours of v, the least row k
+    that choice allows.  Only branches whose row k equals the graph's own go
+    on, merged when their cells agree.  Every relabelling whose rows 0..k
+    are least lies below a kept branch, so the string is least iff no branch
+    ever beats its own row: exact, with no invariant and no sampling.
+    """
+    n = len(masks)
+    shift = n * (n - 1) // 2
+    branches = {((1 << n) - 1,)}
+    for k in range(n - 1):
+        width = n - 1 - k
+        shift -= width
+        own = code >> shift & ((1 << width) - 1)
+        kept = set()
+        for first, *rest in branches:
+            for v in bit_indices(first):
+                adj = masks[v]
+                row = 0
+                cells = []
+                for cell in (first & ~(1 << v), *rest):
+                    off, on = cell & ~adj, cell & adj
+                    row = row << cell.bit_count() | (1 << on.bit_count()) - 1
+                    cells += [part for part in (off, on) if part]
+                if row < own:
+                    return False
+                if row == own:
+                    kept.add(tuple(cells))
+        branches = kept
+    return True
+
+
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class, in canonical order.
 
-    Classes on n vertices are grown from classes on n-1 vertices by attaching
-    one new vertex with every possible neighbourhood, then canonicalising.
+    Read's orderly generation ("Every one a winner", Ann. Discrete Math. 2,
+    1978; see also McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 26, 1998) on the least-bitstring form.  Setting the last 0 of
+    a least string to 1 gives a least string, so the least strings form a
+    tree rooted at K_n: the children of s clear one 1 inside its trailing run
+    of ones, and a child is kept iff `_is_least` accepts it.  Each class
+    appears exactly once, and no canonical form is computed.
     """
     if not 0 <= n <= MAX_ENUMERATE_N:
         raise SizeLimitError(
             f"enumerate_graphs supports 0 <= n <= {MAX_ENUMERATE_N}, got n={n}"
         )
-    if n == 0:
-        return (Graph(0, frozenset()),)
-    found: dict[str, Graph] = {}
-    for g in enumerate_graphs(n - 1):
-        for mask in range(1 << (n - 1)):
-            edges = set(g.edges)
-            edges.update((i, n - 1) for i in bit_indices(mask))
-            can, _ = canonical_form(Graph(n, frozenset(edges)))
-            found[can.bitstring()] = can
-    return tuple(found[k] for k in sorted(found))
+    pairs = pair_order(n)
+    m = len(pairs)  # bit i of a code is the pair pairs[m - 1 - i]
+    full = (1 << n) - 1
+    found = []
+    stack = [((1 << m) - 1, [full & ~(1 << v) for v in range(n)])]
+    while stack:
+        code, masks = stack.pop()
+        found.append(code)
+        trailing_ones = (~code & code + 1).bit_length() - 1
+        for i in range(trailing_ones):
+            a, b = pairs[m - 1 - i]
+            child, child_masks = code ^ 1 << i, masks.copy()
+            child_masks[a] ^= 1 << b
+            child_masks[b] ^= 1 << a
+            if _is_least(child_masks, child):
+                stack.append((child, child_masks))
+    found.sort()
+    return tuple(
+        Graph(n, frozenset(pairs[m - 1 - i] for i in bit_indices(code)))
+        for code in found
+    )
 
 
 def component_masks(masks: Sequence[int]) -> list[int]:

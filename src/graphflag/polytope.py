@@ -19,10 +19,11 @@ from .errors import SizeLimitError
 from .exactlin import EchelonRows, RationalMatrix, integer_rows, lp_feasible
 from .flagvectors import concise_flag_vector
 from .graphs import Graph, bit_indices, connected_partition, enumerate_graphs
-from .partitions import enumerate_partitions
+from .partitions import enumerate_partitions, partition_count
 from .vectors import ConciseVector
 
-MAX_ANALYSIS_N = 6
+MAX_SPAN_N = 7  # span_dimension and nullspace_report
+MAX_HULL_N = 6
 MAX_FACET_POINTS = 40
 MAX_FACET_DIM = 11
 
@@ -43,9 +44,9 @@ def class_concise_points(n: int) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
 
 def span_dimension(n: int) -> int:
     """Rank of the matrix of concise flag vectors over all n-vertex classes."""
-    if not 0 <= n <= MAX_ANALYSIS_N:
+    if not 0 <= n <= MAX_SPAN_N:
         raise SizeLimitError(
-            f"span_dimension supports 0 <= n <= {MAX_ANALYSIS_N}, got n={n}"
+            f"span_dimension supports 0 <= n <= {MAX_SPAN_N}, got n={n}"
         )
     return RationalMatrix([coords for _, coords in class_concise_points(n)]).rank()
 
@@ -158,9 +159,9 @@ def hull_report(n: int, include_facets: bool = False) -> HullReport:
     fails that check goes to the LP.  Duplicated points (if any) share a
     verdict; distinctness is reported alongside.
     """
-    if not 0 <= n <= MAX_ANALYSIS_N:
+    if not 0 <= n <= MAX_HULL_N:
         raise SizeLimitError(
-            f"hull_report supports 0 <= n <= {MAX_ANALYSIS_N}, got n={n}"
+            f"hull_report supports 0 <= n <= {MAX_HULL_N}, got n={n}"
         )
     pts = class_concise_points(n)
     groups: dict[tuple[int, ...], list[Graph]] = {}
@@ -315,6 +316,15 @@ def _facet_incidence(points: Sequence) -> list[tuple[FacetInequality, int]]:
     distinct points tight on it: bit i for the i-th distinct point in order
     of first occurrence."""
     points = list(points)
+    for p in points:
+        # p(n) >= n: a larger n is refused before its partitions are listed
+        if isinstance(p, ConciseVector) and (
+            p.n > MAX_FACET_DIM or partition_count(p.n) > MAX_FACET_DIM
+        ):
+            raise SizeLimitError(
+                f"hull_facets supports ambient dimension <= {MAX_FACET_DIM}, "
+                f"got a ConciseVector of n={p.n}"
+            )
     rows = [
         [p.coefficient(q) for q in enumerate_partitions(p.n)]
         if isinstance(p, ConciseVector) else [Fraction(x) for x in p]
@@ -435,9 +445,9 @@ def nullspace_report(n: int) -> NullspaceReport:
       they are independent and their common kernel, which holds the cycle
       span, has dimension classes - forests.
     """
-    if not 0 <= n <= MAX_ANALYSIS_N:
+    if not 0 <= n <= MAX_SPAN_N:
         raise SizeLimitError(
-            f"nullspace_report supports 0 <= n <= {MAX_ANALYSIS_N}, got n={n}"
+            f"nullspace_report supports 0 <= n <= {MAX_SPAN_N}, got n={n}"
         )
     classes = [g for g, _ in class_concise_points(n)]
     kernel_dim = len(classes) - span_dimension(n)

@@ -229,9 +229,9 @@ def test_out_of_bound_n_refused_before_work(capsys):
         for graph in (path13, "1000000:0-1"):
             code, _, err = run(capsys, "flagvec", "--form", form, "--graph", graph)
             assert code == 2 and "size limit" in err
-    for command in ("hull", "rank", "nullspace"):
+    for command, n in (("hull", "7"), ("rank", "8"), ("nullspace", "8")):
         extra = ("--mode", "vertices") if command == "hull" else ()
-        code, _, err = run(capsys, command, "--n", "7", *extra)
+        code, _, err = run(capsys, command, "--n", n, *extra)
         assert code == 2 and "size limit" in err
     for partition in ("[10]", "[9]", "[5+5+1]"):
         code, _, err = run(capsys, "basis", "--partition", partition)
@@ -321,6 +321,15 @@ def test_census_json_is_byte_identical(capsys, argv, digest):
     # point and null-space rows from expand() and canonical forms
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_enumerate_json_is_byte_identical(capsys):
+    # SHA-256 of the JSON printed when classes came from attaching a vertex
+    # in every way and running the n! canonical search on each candidate
+    code, out, _ = run(capsys, "enumerate", "--n", "7", "--format", "json")
+    assert code == 0
+    digest = "f8c9786daeb84fd293c270fe3cc07340fe0f161f98367ff02984e3a6cf618998"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

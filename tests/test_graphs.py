@@ -1,10 +1,13 @@
+import collections
 import itertools
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +27,7 @@ from graphflag import (
     pair_order,
     parse_graph,
 )
+from graphflag.graphs import _is_least
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +185,68 @@ def test_class_count_n6():
     assert len(enumerate_graphs(6)) == 156
 
 
-@pytest.mark.slow
 def test_class_count_n7():
     assert len(enumerate_graphs(7)) == 1044
 
 
+@pytest.mark.slow
+def test_class_count_n8():
+    classes = enumerate_graphs(8)
+    assert len(classes) == 12346  # OEIS A000088
+    keys = [g.bitstring() for g in classes]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for g in random.Random(8).sample(classes, 100):
+        assert canonical_form(g)[0] == g
+
+
 def test_enumerate_size_limit():
     with pytest.raises(SizeLimitError):
-        enumerate_graphs(8)
+        enumerate_graphs(9)
+
+
+def test_classes_match_the_networkx_atlas():
+    atlas = collections.defaultdict(set)
+    for a in nx.graph_atlas_g():
+        n = a.number_of_nodes()
+        atlas[n].add(canonical_form(Graph.from_edges(n, a.edges()))[0].bitstring())
+    for n in range(8):
+        assert [g.bitstring() for g in enumerate_graphs(n)] == sorted(atlas[n])
+
+
+def _code(g: Graph) -> int:
+    """The bitstring of g packed into an int, first pair in the top bit."""
+    return int(g.bitstring() or "0", 2)
+
+
+def test_least_test_matches_the_bruteforce_minimum_n5():
+    # every labelled graph on n <= 5 vertices, each orbit relabelled in full
+    for n in range(6):
+        pairs = pair_order(n)
+        graphs = [
+            Graph(n, frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
+            for mask in range(1 << len(pairs))
+        ]
+        least = {}
+        for g in graphs:
+            if _code(g) not in least:
+                perms = itertools.permutations(range(n))
+                orbit = {_code(g.relabel(perm)) for perm in perms}
+                least.update(dict.fromkeys(orbit, min(orbit)))
+        for g in graphs:
+            code = _code(g)
+            assert _is_least(g.neighbor_masks(), code) == (code == least[code])
+
+
+@settings(max_examples=40)
+@given(st.integers(6, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.sampled_from(pair_order(n))))
+))
+def test_least_test_agrees_with_canonical_form(case):
+    n, edges = case
+    g = Graph(n, frozenset(edges))
+    can, _ = canonical_form(g)
+    assert _is_least(g.neighbor_masks(), _code(g)) == (can == g)
+    assert _is_least(can.neighbor_masks(), _code(can))
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +335,18 @@ def test_from_bitstring_checks_the_length_before_listing_pairs():
 _NUMPY_PROBE = """
 import sys
 from graphflag import (
-    canonical_form, cli, concise_flag_vector, parse_graph,
-    subgraph_flag_vector, verbose_flag_vector,
+    canonical_form, class_concise_points, cli, concise_flag_vector,
+    enumerate_graphs, hull_report, nullspace_report, parse_graph,
+    span_dimension, subgraph_flag_vector, verbose_flag_vector,
 )
 og = parse_graph("8:0-1,1-2,2-3,3-4,4-5,5-6,6-7,1-6,?0-7,?2-5")
 for form in (verbose_flag_vector, concise_flag_vector, subgraph_flag_vector):
     assert not form(og).is_zero
 assert cli.main(["flagvec", "--form", "concise", "--graph", "8:0-1,?1-2"]) == 0
+assert len(enumerate_graphs(7)) == 1044
+assert len(class_concise_points(6)) == 156 and span_dimension(6) == 11
+assert hull_report(5, include_facets=True).all_vertices
+assert nullspace_report(5).kernel_dim == 27
 assert "numpy" not in sys.modules, "numpy loaded outside the canonical search"
 assert canonical_form(parse_graph("3:0-2").as_graph())[0].to_text() == "3:1-2"
 assert "numpy" in sys.modules

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import networkx as nx
@@ -39,13 +40,17 @@ from graphflag.polytope import _facet_incidence, _vertex_flags
 # span dimension
 
 def test_span_dimension_equals_partition_count():
-    for n, p in enumerate([1, 1, 2, 3, 5, 7, 11]):
+    for n, p in enumerate([1, 1, 2, 3, 5, 7, 11, 15]):
         assert span_dimension(n) == p
 
 
 def test_span_size_limit():
     with pytest.raises(SizeLimitError):
-        span_dimension(7)
+        span_dimension(8)
+    with pytest.raises(SizeLimitError):
+        nullspace_report(8)
+    with pytest.raises(SizeLimitError):
+        hull_report(7)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +415,16 @@ def test_facet_size_limits():
         hull_report(6, include_facets=True)
 
 
+def test_facet_dimension_refused_before_partitions_are_listed():
+    # p(50) = 204,226 partitions; p(4096) would not finish listing
+    for n in (50, 4096):
+        v = concise_flag_vector(Graph(n, frozenset()))
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError):
+            hull_facets([v, v])
+        assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # null space
 
@@ -439,6 +454,11 @@ def test_nullspace_n5_finding():
 @pytest.mark.slow
 def test_nullspace_n6_finding():
     assert _report_tuple(nullspace_report(6)) == (156, 145, 136, False)
+
+
+def test_nullspace_n7_finding():
+    # cycle span 1007 of kernel 1029: 37 forest classes against p(7) = 15
+    assert _report_tuple(nullspace_report(7)) == (1044, 1029, 1007, False)
 
 
 def _single_cycle_optional_graphs(n):
