@@ -42,13 +42,29 @@ def class_concise_points(n: int) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _class_vectors(n: int) -> tuple[ConciseVector, ...]:
+    """The points of `class_concise_points(n)` as ConciseVectors, in the
+    same order: immutable, so every hull report shares them."""
+    parts = enumerate_partitions(n)
+    return tuple(
+        ConciseVector(n, dict(zip(parts, coords)))
+        for _, coords in class_concise_points(n)
+    )
+
+
 def span_dimension(n: int) -> int:
     """Rank of the matrix of concise flag vectors over all n-vertex classes."""
     if not 0 <= n <= MAX_SPAN_N:
         raise SizeLimitError(
             f"span_dimension supports 0 <= n <= {MAX_SPAN_N}, got n={n}"
         )
-    return RationalMatrix([coords for _, coords in class_concise_points(n)]).rank()
+    echelon = EchelonRows()
+    for _, coords in class_concise_points(n):
+        if echelon.rank == len(coords):  # full column rank
+            break
+        echelon.add(coords)
+    return echelon.rank
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +189,7 @@ def hull_report(n: int, include_facets: bool = False) -> HullReport:
     for coords, is_vertex in zip(unique, _vertex_flags(unique, incidence)):
         for g in groups[coords]:
             flags[g] = is_vertex
-    parts = enumerate_partitions(n)
-    points = {g: ConciseVector(n, dict(zip(parts, coords))) for g, coords in pts}
+    points = {g: vec for (g, _), vec in zip(pts, _class_vectors(n))}
     facets = None if incidence is None else tuple(f for f, _ in incidence)
     return HullReport(n, points, {g: flags[g] for g in points}, facets)
 
@@ -206,11 +221,18 @@ def _double_description(constraints: list[tuple[int, ...]]) -> list[tuple[int, .
       that are >= 0 on every processed constraint, so it is tight exactly on
       masks[p] & masks[q] and on the current constraint.
 
-    Rays p and q are adjacent iff they are the only rays tight on every
-    constraint of masks[p] & masks[q] (the combinatorial test of Fukuda and
-    Prodon, 1996): the AND of those constraints' holder bitsets, after the
-    cardinality necessary condition as a fast filter.  A new ray lies inside
-    the 2-face its pair spans, so it repeats no survivor and no other new ray.
+    A constraint splits the rays into plus (> 0), zero and minus (< 0)
+    rays, and each adjacent plus/minus pair gives one new ray on it.  In
+    the quotient by the remaining lineality, adjacent rays share at least
+    `need` = quotient-dim - 2 tight constraints, so the candidates of a
+    minus ray q are counted, not searched: bit-sliced counters at_least[k],
+    seeded with the plus rays, absorb the holder bitset of each constraint
+    in masks[q], and at_least[need] is then exactly the plus rays sharing
+    `need` or more of them.  A candidate p is adjacent to q iff p and q are
+    the only rays tight on every constraint of masks[p] & masks[q] (the
+    combinatorial test of Fukuda and Prodon, 1996): the AND of those
+    constraints' holder bitsets.  A new ray lies inside the 2-face its pair
+    spans, so it repeats no survivor and no other new ray.
     """
     dim = len(constraints[0])
     lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
@@ -242,26 +264,27 @@ def _double_description(constraints: list[tuple[int, ...]]) -> list[tuple[int, .
 
         vals = [_dot(c, r) for r in rays]
         plus = [i for i, v in enumerate(vals) if v > 0]
-        minus = [(i, masks[i]) for i, v in enumerate(vals) if v < 0]
+        minus = [i for i, v in enumerate(vals) if v < 0]
         new_rays = [r for r, v in zip(rays, vals) if v >= 0]
         new_masks = [m | bit if v == 0 else m for m, v in zip(masks, vals) if v >= 0]
-        if minus:
+        if plus and minus:
             holders = [0] * idx  # bitset of the rays tight on each constraint
             for i, mask in enumerate(masks):
                 for t in bit_indices(mask):
                     holders[t] |= 1 << i
-            # in the quotient by the remaining lineality, adjacent extreme
-            # rays share at least quotient-dim - 2 tight constraints
-            need = dim - len(lineality) - 2
+            need = max(dim - len(lineality) - 2, 0)
             every_ray = (1 << len(rays)) - 1
-            for p in plus:
-                mask_p = masks[p]
-                passing = [
-                    (q, common)
-                    for q, mask_q in minus
-                    if (common := mask_p & mask_q).bit_count() >= need
-                ]
-                for q, common in passing:
+            plus_set = sum(1 << p for p in plus)
+            for q in minus:
+                mask_q = masks[q]
+                # at_least[k]: the plus rays tight on >= k constraints of mask_q
+                at_least = [plus_set] + [0] * need
+                for t in bit_indices(mask_q):
+                    held = holders[t]
+                    for k in range(need, 0, -1):
+                        at_least[k] |= at_least[k - 1] & held
+                for p in bit_indices(at_least[need]):
+                    common = masks[p] & mask_q
                     tight_on_common = every_ray
                     for t in bit_indices(common):
                         tight_on_common &= holders[t]
@@ -373,8 +396,14 @@ def _facet_incidence(points: Sequence) -> list[tuple[FacetInequality, int]]:
         tight = [i for i, v in enumerate(vals) if v == 0]
         if not tight:
             raise ArithmeticError("facet inequality is tight on no point")
+        if len(tight) == len(unique):
+            raise ArithmeticError("facet inequality is tight on every point")
+        # some point lies off it, so the tight points span a proper face, of
+        # rank len(chart) - 1 at most: stop adding them at that rank
         echelon = EchelonRows()
         for i in tight[1:]:
+            if echelon.rank == len(chart) - 1:
+                break
             echelon.add([a - b for a, b in zip(unique[i], unique[tight[0]])])
         if echelon.rank != len(chart) - 1:
             raise ArithmeticError("inequality does not support a facet")

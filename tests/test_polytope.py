@@ -24,6 +24,7 @@ from graphflag import (
     span_dimension,
     verbose_flag_vector,
 )
+from graphflag import polytope
 from graphflag.exactlin import EchelonRows
 from graphflag.graphs import (
     Graph,
@@ -233,18 +234,42 @@ def _facet_tight_sets(points, facets):
         [(0, 0), (1, 0), (0, 1), (1, 1)],
         [(0, 0), (1, 1), (2, 2)],
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
-        # a 4-dimensional hull with ray pairs that pass the cardinality
-        # filter without being adjacent
+        # a 4-dimensional hull with ray pairs that share enough tight
+        # constraints without being adjacent
         [
             (0, 1, 1, 1), (1, 1, 2, 0), (2, 2, 0, 2), (1, 0, 2, 2),
             (2, 2, 1, 1), (0, 2, 0, 0), (1, 2, 0, 1), (0, 0, 0, 2),
         ],
+        # degenerate hulls: facets hold 4 to 8 points, so rays are tight on
+        # more constraints than adjacency needs
+        list(itertools.product((0, 1), repeat=3)),
+        list(itertools.product((0, 1), repeat=4)),
+        [(0, 0, 0, 0)]
+        + [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)],
     ],
 )
 def test_facets_match_subset_scanning_oracle(points):
     facets = hull_facets(points)
-    assert _facet_tight_sets(points, facets) == _facet_tight_sets_oracle(points)
-    assert len(facets) == len(_facet_tight_sets_oracle(points))
+    oracle = _facet_tight_sets_oracle(points)
+    assert _facet_tight_sets(points, facets) == oracle
+    assert len(facets) == len(oracle)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # x + y >= 0 supports only the vertex (0, 0)
+        (lambda rays: [*rays, (0, 1, 1)], "does not support a facet"),
+        (lambda rays: [*rays, rays[0]], "duplicate facet"),
+        (lambda rays: [tuple(-x for x in rays[0]), *rays[1:]], "fails on an input point"),
+    ],
+)
+def test_facet_certificate_refuses_wrong_rays(monkeypatch, corrupt, message):
+    # the square's chart is the identity, so rays read (offset, x, y)
+    dd = polytope._double_description
+    monkeypatch.setattr(polytope, "_double_description", lambda cs: corrupt(dd(cs)))
+    with pytest.raises(ArithmeticError, match=message):
+        hull_facets([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
 @pytest.mark.parametrize("n", [3, 4])
