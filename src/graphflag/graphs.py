@@ -5,10 +5,15 @@ sorted tuples (i, j) with i < j.  The fixed pair order is lexicographic:
 (0,1), (0,2), ..., (0,n-1), (1,2), ..., and the serialised canonical form
 is "n:bitstring" with one bit per pair in that order.
 
-Canonical forms are found by exhaustive search over all n! relabellings
-(vectorised with numpy, but still the plain exhaustive search), taking the
-lexicographically least adjacency bitstring.  numpy is imported by that
-search alone, so parsing, flag vectors and class enumeration never load it.
+A canonical form is the lexicographically least adjacency bitstring over
+all n! relabellings.  The search holds the relabellings in a numpy table and
+filters it one adjacency row at a time, the row order of canonical
+labelling searches (McKay and Piperno, "Practical graph isomorphism, II",
+J. Symbolic Comput. 60, 2014): row k of each relabelling still alive is
+keyed, and only those with the least row stay.  It is exact, and a graph
+whose relabellings all tie (K_n) still keeps the whole table.  numpy is
+imported by that search alone, so parsing, flag vectors and class
+enumeration never load it.
 
 Classes are enumerated on the same least-bitstring form by Read's orderly
 generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978; McKay,
@@ -33,12 +38,12 @@ if TYPE_CHECKING:
 
 Edge = tuple[int, int]
 
-MAX_CANONICAL_N = 10  # exhaustive n! relabelling search
+MAX_CANONICAL_N = 10  # row filter over all n! relabellings
 MAX_ENUMERATE_N = 8
 MAX_EXPAND_OPTIONAL = 20
 MAX_COMPLEMENT_N = 256
 
-_PERM_CHUNK = 40320  # cap on the relabelling work array for n >= 9
+_BLOCK_N = 8  # for n >= 9 the relabellings are filtered in blocks of 8! rows
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -254,44 +259,39 @@ def parse_graph(text: str) -> OptionalGraph:
     return OptionalGraph(n, frozenset(regular), frozenset(optional))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _perm_array(n: int) -> np.ndarray:
+    """Every permutation of 0..n-1 as an int8 row, in lexicographic order."""
     import numpy as np
 
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(
-        -1, n
-    )
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    sub = _perm_array(n - 1)
+    table = np.empty((n, len(sub), n), dtype=np.int8)
+    for first in range(n):
+        table[first, :, 0] = first
+        table[first, :, 1:] = np.delete(np.arange(n, dtype=np.int8), first)[sub]
+    return table.reshape(-1, n)
 
 
 def _perm_chunks(n: int) -> Iterator[np.ndarray]:
+    """`_perm_array(n)` in blocks of at most 8! rows, in the same order.
+
+    For n >= 9 each block is one (n-8)-prefix, in lexicographic order, with
+    every ordering of the other 8 vertices after it.
+    """
     import numpy as np
 
-    if n <= 8:
+    if n <= _BLOCK_N:
         yield _perm_array(n)
         return
-    it = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(it, _PERM_CHUNK))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _pair_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    pairs = pair_order(n)
-    i_idx = np.array([p[0] for p in pairs], dtype=np.int64)
-    j_idx = np.array([p[1] for p in pairs], dtype=np.int64)
-    return i_idx, j_idx
-
-
-@lru_cache(maxsize=None)
-def _powers(m: int) -> np.ndarray:
-    import numpy as np
-
-    return np.array([2 ** (m - 1 - k) for k in range(m)], dtype=np.int64)
+    tail = _perm_array(_BLOCK_N)
+    for prefix in itertools.permutations(range(n), n - _BLOCK_N):
+        rest = np.array([v for v in range(n) if v not in prefix], dtype=np.int8)
+        block = np.empty((len(tail), n), dtype=np.int8)
+        block[:, : n - _BLOCK_N] = prefix
+        block[:, n - _BLOCK_N :] = rest[tail]
+        yield block
 
 
 def _inverse_perm(q: tuple[int, ...]) -> tuple[int, ...]:
@@ -301,10 +301,35 @@ def _inverse_perm(q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(rho)
 
 
-def _min_relabelling(n: int, edges: frozenset):
+def _least_rows(adjacency: np.ndarray, perms: np.ndarray) -> tuple[int, np.ndarray]:
+    """The least relabelled bitstring over the relabellings `perms` (rows
+    q with q[new] = old), packed first pair in the top bit, with a witness.
+
+    Row k of a relabelled string holds the pairs (k, k+1), ..., (k, n-1),
+    gathered as adjacency[q[k], q[k+1..n-1]] and keyed in n-1-k bits.  Rows
+    have fixed widths, so strings compare as their rows do: keeping, row by
+    row, only the relabellings whose row is least leaves exactly those whose
+    whole string is least.  Boolean masks keep `perms` in order, so the
+    witness is the first of them.
+    """
+    import numpy as np
+
+    n = perms.shape[1]
+    code = 0
+    for k in range(n - 1):
+        width = n - 1 - k
+        row = adjacency[perms[:, k, None], perms[:, k + 1 :]]
+        key = row @ (1 << np.arange(width - 1, -1, -1, dtype=np.int16))
+        least = key.min()
+        code = code << width | int(least)
+        perms = perms[key == least]
+    return code, perms[0]
+
+
+def _min_relabelling(n: int, edges: frozenset) -> tuple[int, tuple[int, ...]]:
     """Least adjacency bitstring over all relabellings, packed as a key.
 
-    Returns (per-pair bits of the least relabelling, witness q with
+    Returns (the least string, first pair in the top bit; witness q with
     q[new] = old).  Ties resolve to the first permutation in lexicographic
     order, so the result is deterministic.
     """
@@ -313,19 +338,12 @@ def _min_relabelling(n: int, edges: frozenset):
     adjacency = np.zeros((n, n), dtype=np.uint8)
     for i, j in edges:
         adjacency[i, j] = adjacency[j, i] = 1
-    i_idx, j_idx = _pair_gather(n)
-    weights = _powers(len(i_idx))
-    best_key = None
-    best_perm = best_row = None
-    for chunk in _perm_chunks(n):
-        rows = adjacency[chunk[:, i_idx], chunk[:, j_idx]]
-        keys = rows.astype(np.int64) @ weights
-        pos = int(keys.argmin())
-        if best_key is None or keys[pos] < best_key:
-            best_key = int(keys[pos])
-            best_perm = chunk[pos]
-            best_row = rows[pos]
-    return best_row, tuple(int(x) for x in best_perm)
+    best_code = best_perm = None
+    for block in _perm_chunks(n):
+        code, perm = _least_rows(adjacency, block)
+        if best_code is None or code < best_code:  # strict: the first block wins ties
+            best_code, best_perm = code, perm
+    return best_code, tuple(int(x) for x in best_perm)
 
 
 def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -333,7 +351,9 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 
     Returns (canonical, rho) with rho[old] = new; relabelling g by rho gives
     the canonical graph.  Two graphs have equal canonical forms iff they are
-    isomorphic.
+    isomorphic.  The relabellings are filtered row by row (`_least_rows`),
+    and of those that give the least string the witness is the first
+    q = rho^-1 in lexicographic order.
     """
     n = g.n
     if n > MAX_CANONICAL_N:
@@ -342,10 +362,9 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
         )
     if n <= 1 or not g.edges:
         return g, tuple(range(n))
-    row, q = _min_relabelling(n, g.edges)
-    edges = frozenset(
-        pair for pair, bit in zip(pair_order(n), row) if bit
-    )
+    code, q = _min_relabelling(n, g.edges)
+    top = n * (n - 1) // 2 - 1
+    edges = frozenset(p for k, p in enumerate(pair_order(n)) if code >> top - k & 1)
     return Graph(n, edges), _inverse_perm(q)
 
 
@@ -497,6 +516,11 @@ def expand(og: OptionalGraph) -> GraphSum:
     Each subset B of the optional set contributes the ordinary graph with
     edges E union B, signed by (-1)^(|C|-|B|).
     """
+    if og.n > MAX_CANONICAL_N:
+        # every term is keyed by its canonical form, which would refuse it
+        raise SizeLimitError(
+            f"expand supports n <= {MAX_CANONICAL_N}, got n={og.n}"
+        )
     choices = sorted(og.optional)
     if len(choices) > MAX_EXPAND_OPTIONAL:
         raise SizeLimitError(

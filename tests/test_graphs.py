@@ -27,7 +27,8 @@ from graphflag import (
     pair_order,
     parse_graph,
 )
-from graphflag.graphs import _is_least
+from graphflag import graphs
+from graphflag.graphs import _is_least, _perm_array, _perm_chunks
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +168,102 @@ def test_canonical_size_limit():
         canonical_form(Graph(11, frozenset()))
 
 
+def _full_scan(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """Oracle: key every one of the n! relabelled strings in full.
+
+    The argmin over all keys, in `itertools.permutations` order, so ties go
+    to the first permutation q (q[new] = old); returns (form, rho).
+    """
+    import numpy as np
+
+    n = g.n
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    for i, j in g.edges:
+        adjacency[i, j] = adjacency[j, i] = 1
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    pairs = pair_order(n)
+    i_idx = np.array([i for i, _ in pairs], dtype=np.int64)
+    j_idx = np.array([j for _, j in pairs], dtype=np.int64)
+    rows = adjacency[perms[:, i_idx], perms[:, j_idx]]
+    keys = rows @ (1 << np.arange(len(pairs) - 1, -1, -1, dtype=np.int64))
+    best = int(keys.argmin())  # the first on ties
+    form = Graph(n, frozenset(p for p, bit in zip(pairs, rows[best]) if bit))
+    rho = [0] * n
+    for new, old in enumerate(perms[best]):
+        rho[old] = new
+    return form, tuple(rho)
+
+
+def _circulant(n, steps):
+    return Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in steps])
+
+
+# the symmetric 8-vertex families of perfbench's canon workload
+_SYMMETRIC8 = {
+    "C8": _circulant(8, (1,)),
+    "K4,4": Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)]),
+    "Q3": Graph.from_edges(8, [(i, i ^ 1 << b) for i in range(8) for b in range(3)]),
+    "C8(1,2)": _circulant(8, (1, 2)),
+    "2C4": _circulant(4, (1,)).disjoint_union(_circulant(4, (1,))),
+    "4K2": Graph.from_edges(8, [(2 * i, 2 * i + 1) for i in range(4)]),
+}
+
+
+def test_canonical_matches_the_full_scan_on_every_labelled_graph_n5():
+    for n in range(6):
+        pairs = pair_order(n)
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
+            assert canonical_form(g) == _full_scan(g), g
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_canonical_matches_the_full_scan_on_random_graphs(n):
+    rng = random.Random(n)
+    pairs = pair_order(n)
+    for _ in range(25):
+        g = Graph(n, frozenset(p for p in pairs if rng.random() < rng.random()))
+        assert canonical_form(g) == _full_scan(g), g
+
+
+def test_canonical_matches_the_full_scan_on_symmetric_graphs():
+    rng = random.Random(16)
+    cases = [Graph(8, frozenset()), complement(Graph(8, frozenset()))]
+    for g in _SYMMETRIC8.values():
+        cases += [g, complement(g)]
+    for g in cases:
+        perm = list(range(8))
+        rng.shuffle(perm)
+        for h in (g, g.relabel(tuple(perm))):
+            assert canonical_form(h) == _full_scan(h), h
+
+
+def test_permutation_table_is_in_lexicographic_order():
+    for n in range(9):
+        assert _perm_array(n).tolist() == [list(p) for p in itertools.permutations(range(n))]
+    expected = itertools.permutations(range(9))
+    blocks = 0
+    for block in _perm_chunks(9):
+        assert block.shape == (40320, 9)
+        assert block.tolist() == [list(p) for p in itertools.islice(expected, 40320)]
+        blocks += 1
+    assert blocks == 9 and next(expected, None) is None
+
+
+def test_canonical_witness_past_one_block():
+    # every relabelling of K9 ties, so the witness is the first of all
+    # 9! (identity), not the first of a later block of 8!
+    k9 = complement(Graph(9, frozenset()))
+    assert canonical_form(k9) == (k9, tuple(range(9)))
+    rng = random.Random(10)
+    g = Graph(10, frozenset(p for p in pair_order(10) if rng.random() < 0.5))
+    form, rho = canonical_form(g)
+    assert g.relabel(rho) == form
+    perm = list(range(10))
+    rng.shuffle(perm)
+    assert canonical_form(g.relabel(tuple(perm)))[0] == form
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -292,6 +389,21 @@ def test_expand_size_limit():
     og = OptionalGraph(7, frozenset(), frozenset(pair_order(7)))
     with pytest.raises(SizeLimitError):
         expand(og)
+
+
+def test_expand_refuses_a_graph_past_the_canonical_bound_before_any_term(monkeypatch):
+    # 17 optional edges on 11 vertices: 2^17 terms, none of which
+    # canonical_form accepts
+    og = OptionalGraph(11, frozenset(), frozenset(pair_order(11)[:17]))
+
+    def no_term(*args):
+        raise AssertionError("expand built a term")
+
+    monkeypatch.setattr(graphs, "Graph", no_term)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="n <= 10"):
+        expand(og)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_graph_sum_algebra():
