@@ -12,7 +12,7 @@ safely be evaluated in parallel.
 """
 
 from .errors import GraphParseError, SizeLimitError
-from .exactlin import LPResult, Rational, RationalMatrix, kernel_basis, lp_feasible, rank
+from .exactlin import LPResult, RationalMatrix, kernel_basis, lp_feasible, rank
 from .flagvectors import (
     anchor_word,
     basis_graph,
@@ -76,7 +76,6 @@ __all__ = [
     "NullspaceReport",
     "OptionalGraph",
     "Partition",
-    "Rational",
     "RationalMatrix",
     "Shelling",
     "SizeLimitError",

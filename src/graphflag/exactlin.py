@@ -1,9 +1,10 @@
 """Exact rational linear algebra: rank, null spaces and LP feasibility.
 
-Inputs and results are Fractions, but the work is integer fraction-free
-elimination: a system is scaled by one common denominator and every routine
-is built on one Edmonds/Bareiss pivot step (`_step`), whose divisions are
-exact.  No floating point enters at any stage.
+Inputs are ints or Fractions and results are Fractions, but the work is
+integer fraction-free elimination: a system is scaled once by one common
+denominator (`integer_rows`, which builds no Fraction for an int entry),
+and every routine is built on one Edmonds/Bareiss pivot step (`_step`),
+whose divisions are exact.  No floating point enters at any stage.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 
 def _step(row: list[int], prow: list[int], c: int, prev: int) -> list[int]:
@@ -30,12 +29,23 @@ def _step(row: list[int], prow: list[int], c: int, prev: int) -> list[int]:
     return [(x * p - f * y) // prev for x, y in zip(row, prow)]
 
 
-def integer_rows(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+def integer_rows(rows: Iterable[Iterable]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rows of ints or Fractions scaled by their least common denominator
-    to integers."""
-    grid = [list(row) for row in rows]
+    to integers: (integer rows, that denominator).  An int entry builds no
+    Fraction.  Rows of unequal length are refused with ValueError, and any
+    other kind of entry with TypeError."""
+    grid = [tuple(row) for row in rows]
+    lengths = sorted({len(row) for row in grid})
+    if len(lengths) > 1:
+        raise ValueError(f"rows differ in length: {lengths}")
+    for row in grid:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"entry {x!r} is neither an int nor a Fraction")
     den = math.lcm(*(x.denominator for row in grid for x in row))
-    return [[x.numerator * den // x.denominator for x in row] for row in grid], den
+    return tuple(
+        tuple(x.numerator * (den // x.denominator) for x in row) for row in grid
+    ), den
 
 
 class EchelonRows:
@@ -68,119 +78,18 @@ class EchelonRows:
 
 
 class RationalMatrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable dense matrix of ints and Fractions, held as integer rows
+    over one common denominator."""
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_ints", "_den")
 
     def __init__(self, entries: Iterable[Iterable]):
-        grid = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        if grid and any(len(r) != len(grid[0]) for r in grid):
-            raise ValueError("rows have unequal lengths")
-        self.rows = len(grid)
-        self.cols = len(grid[0]) if grid else 0
-        self._entries = grid
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._entries[i]
+        self._ints, self._den = integer_rows(entries)
+        self.rows = len(self._ints)
+        self.cols = len(self._ints[0]) if self._ints else 0
 
     def to_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._entries
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self._entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
-        vec = [Fraction(x) for x in v]
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
-        return tuple(
-            sum((a * x for a, x in zip(row, vec)), Fraction(0))
-            for row in self._entries
-        )
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        cols = other.transpose().to_rows()
-        return RationalMatrix(
-            [
-                [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols]
-                for row in self._entries
-            ]
-        )
-
-    def _rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        # fraction-free Gauss-Jordan: every pivot entry ends equal to the
-        # last pivot, so one division per entry yields the unique RREF
-        work, _ = integer_rows(self._entries)
-        pivots: list[int] = []
-        prev = 1
-        for c in range(self.cols):
-            r = len(pivots)
-            if r == self.rows:
-                break
-            pivot = next((i for i in range(r, self.rows) if work[i][c]), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            for i in range(self.rows):
-                if i != r:
-                    work[i] = _step(work[i], work[r], c, prev)
-            prev = work[r][c]
-            pivots.append(c)
-        return [[Fraction(x, prev) for x in row] for row in work], pivots
-
-    def rank(self) -> int:
-        echelon = EchelonRows()
-        for row in integer_rows(self._entries)[0]:
-            if echelon.rank == self.cols:
-                break
-            echelon.add(row)
-        return echelon.rank
-
-    def kernel_basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Basis of the right null space, one vector per free column."""
-        reduced, pivots = self._rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for k, p in enumerate(pivots):
-                vec[p] = -reduced[k][f]
-            basis.append(tuple(vec))
-        return tuple(basis)
-
-    def inverse(self) -> "RationalMatrix":
-        if self.rows != self.cols:
-            raise ValueError("only square matrices invert")
-        n = self.rows
-        aug = RationalMatrix(
-            [
-                list(self._entries[i]) + [Fraction(int(i == j)) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        reduced, pivots = aug._rref()
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        return RationalMatrix([row[n:] for row in reduced[:n]])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self._entries == other._entries
+        return tuple(tuple(Fraction(x, self._den) for x in row) for row in self._ints)
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -188,12 +97,43 @@ class RationalMatrix:
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank by fraction-free (Bareiss) forward elimination."""
-    return m.rank()
+    echelon = EchelonRows()
+    for row in m._ints:
+        if echelon.rank == m.cols:
+            break
+        echelon.add(row)
+    return echelon.rank
 
 
 def kernel_basis(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact basis of the right null space; m . v = 0 for every vector."""
-    return m.kernel_basis()
+    """Exact basis of the right null space, one vector per free column;
+    m . v = 0 for every vector."""
+    # fraction-free Gauss-Jordan: every pivot entry ends equal to the last
+    # pivot, so the rows over it are the unique reduced row echelon form
+    work = [list(row) for row in m._ints]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(m.cols):
+        r = len(pivots)
+        if r == m.rows:
+            break
+        pivot = next((i for i in range(r, m.rows) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(m.rows):
+            if i != r:
+                work[i] = _step(work[i], work[r], c, prev)
+        prev = work[r][c]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        vec = [Fraction(0)] * m.cols
+        vec[f] = Fraction(1)
+        for k, p in enumerate(pivots):
+            vec[p] = Fraction(-work[k][f], prev)
+        basis.append(tuple(vec))
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -223,11 +163,11 @@ def lp_feasible(eq: RationalMatrix, rhs: Sequence) -> LPResult:
     kinds of certificate are re-verified in integers before returning.
     """
     m, n = eq.rows, eq.cols
-    b = [Fraction(x) for x in rhs]
-    if len(b) != m:
-        raise ValueError(f"rhs length {len(b)} != rows {m}")
-    scaled, _ = integer_rows([*eq.to_rows(), b])
-    a, b = scaled[:m], scaled[m]
+    if len(rhs) != m:
+        raise ValueError(f"rhs length {len(rhs)} != rows {m}")
+    # rhs over eq's denominator, then both over the rest of the common one
+    (b,), scale = integer_rows([[x * eq._den for x in rhs]])
+    a = [[x * scale for x in row] for row in eq._ints]
     flip = [-1 if bi < 0 else 1 for bi in b]
     rows = [
         [f * x for x in a[i]] + [int(i == k) for k in range(m)] + [f * b[i]]

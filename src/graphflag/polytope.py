@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -19,7 +18,7 @@ from .errors import SizeLimitError
 from .exactlin import EchelonRows, RationalMatrix, integer_rows, lp_feasible
 from .flagvectors import concise_flag_vector
 from .graphs import Graph, bit_indices, connected_partition, enumerate_graphs
-from .partitions import enumerate_partitions, partition_count
+from .partitions import enumerate_partitions
 from .vectors import ConciseVector
 
 MAX_SPAN_N = 7  # span_dimension and nullspace_report
@@ -319,52 +318,27 @@ def _affine_chart(points: list[tuple[int, ...]]):
     return p0, chart
 
 
-def hull_facets(points: Sequence) -> tuple[FacetInequality, ...]:
+def hull_facets(points: Sequence[Sequence]) -> tuple[FacetInequality, ...]:
     """Facets of the convex hull of the points, within their affine hull.
 
-    Accepts ConciseVectors (coordinates in canonical partition order) or raw
-    coordinate sequences.  Returns (coefficients, offset) pairs, scaled to
-    coprime integers, with coefficients . x + offset >= 0 on every input
-    point and equality exactly on each facet.  Coefficients are zero on
-    coordinates that are constant across the points.  Rational points are
-    scaled by one common denominator; all the work is in integers.  Points
-    of unequal length, ConciseVectors of different n, and ConciseVectors
-    mixed with coordinate sequences are refused with ValueError.
+    Points are coordinate sequences of ints or Fractions.  Returns
+    (coefficients, offset) pairs, scaled to coprime integers, with
+    coefficients . x + offset >= 0 on every input point and equality exactly
+    on each facet.  Coefficients are zero on coordinates that are constant
+    across the points.  Rational points are scaled by one common
+    denominator; all the work is in integers.  Points of unequal length are
+    refused with ValueError, and a point that is no sequence of ints and
+    Fractions with TypeError.
     """
     return tuple(f for f, _ in _facet_incidence(points))
 
 
-def _facet_incidence(points: Sequence) -> list[tuple[FacetInequality, int]]:
+def _facet_incidence(points: Sequence[Sequence]) -> list[tuple[FacetInequality, int]]:
     """The facets of `hull_facets`, sorted, each with the bitmask of the
     distinct points tight on it: bit i for the i-th distinct point in order
     of first occurrence."""
-    points = list(points)
-    for p in points:
-        # p(n) >= n: a larger n is refused before its partitions are listed
-        if isinstance(p, ConciseVector) and (
-            p.n > MAX_FACET_DIM or partition_count(p.n) > MAX_FACET_DIM
-        ):
-            raise SizeLimitError(
-                f"hull_facets supports ambient dimension <= {MAX_FACET_DIM}, "
-                f"got a ConciseVector of n={p.n}"
-            )
-    rows = [
-        [p.coefficient(q) for q in enumerate_partitions(p.n)]
-        if isinstance(p, ConciseVector) else [Fraction(x) for x in p]
-        for p in points
-    ]
-    lengths = sorted({len(row) for row in rows})
-    if len(lengths) > 1:
-        raise ValueError(f"hull_facets points differ in length: {lengths}")
-    # equal lengths are not enough: p(0) = p(1) = 1, and a sequence has no n
-    kinds = {
-        f"ConciseVector n={p.n}" if isinstance(p, ConciseVector) else "sequence"
-        for p in points
-    }
-    if len(kinds) > 1:
-        raise ValueError(f"hull_facets points mix kinds: {sorted(kinds)}")
-    scaled, scale = integer_rows(rows)
-    unique = list(dict.fromkeys(map(tuple, scaled)))
+    scaled, scale = integer_rows(points)
+    unique = list(dict.fromkeys(scaled))
     if len(unique) > MAX_FACET_POINTS:
         raise SizeLimitError(
             f"hull_facets supports at most {MAX_FACET_POINTS} distinct points, "

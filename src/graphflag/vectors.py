@@ -56,6 +56,10 @@ class _FormalVector:
     def __getitem__(self, key) -> int:
         return self.coefficient(key)
 
+    # not a sequence: without this, iteration and `in` would fall back on
+    # __getitem__ and call v[0], v[1], ... without end
+    __iter__ = None
+
     @property
     def is_zero(self) -> bool:
         return not self._coeffs

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -9,8 +10,13 @@ from graphflag import (
     EdgeWordVector,
     GraphSum,
     Partition,
+    RationalMatrix,
     VerboseVector,
+    concise_flag_vector,
+    edge_flag_vector,
     enumerate_partitions,
+    hull_facets,
+    verbose_flag_vector,
 )
 from graphflag.graphs import Graph, canonical_form, pair_order
 
@@ -127,3 +133,25 @@ def test_graph_sum_coefficients_are_integers():
         GraphSum(3, {"3:0-1": 0})
     with pytest.raises(ValueError):
         GraphSum(3, {Graph(2, frozenset()): 0})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [verbose_flag_vector, edge_flag_vector, concise_flag_vector, GraphSum.from_graph],
+    ids=["verbose", "edge", "concise", "graph-sum"],
+)
+def test_formal_vectors_are_not_iterable(make):
+    # __getitem__ answers every key, so iteration must not fall back on it
+    v = make(Graph.from_edges(4, [(0, 1), (1, 2)]))
+    start = time.perf_counter()
+    with pytest.raises(TypeError):
+        iter(v)
+    with pytest.raises(TypeError):
+        list(v)
+    with pytest.raises(TypeError):
+        5 in v
+    with pytest.raises(TypeError):
+        hull_facets([v, v])
+    with pytest.raises(TypeError):
+        RationalMatrix([v])
+    assert time.perf_counter() - start < 1.0
