@@ -114,17 +114,20 @@ def test_points_of_unequal_length_are_refused():
         hull_facets([(0, 0), (1, 0, 5), (0, 1)])
 
 
-def test_concise_vector_points_are_refused():
-    # points are coordinate sequences; a ConciseVector is no sequence, and
-    # p(4096) partitions would not finish listing, so refusal must be at once
-    for n in (0, 1, 50, 4096):
-        v = concise_flag_vector(Graph(n, frozenset()))
-        start = time.perf_counter()
-        with pytest.raises(TypeError):
-            hull_facets([v, v])
-        with pytest.raises(TypeError):
-            hull_facets([(1,), v])
-        assert time.perf_counter() - start < 1.0
+def test_partition_vectors_of_different_n_are_refused():
+    # points are coordinate sequences; a ConciseVector is none, whatever its n
+    # (p(0) = p(1) = 1, so a length check alone would let these through)
+    points = [concise_flag_vector(Graph(n, frozenset())) for n in (0, 1)]
+    with pytest.raises(TypeError):
+        hull_facets(points)
+
+
+def test_partition_vectors_mixed_with_sequences_are_refused():
+    point = concise_flag_vector(Graph(3, frozenset({(0, 1)})))
+    with pytest.raises(TypeError):
+        hull_facets([point, (1, 0, 0), (0, 1, 0)])
+    with pytest.raises(TypeError):
+        hull_facets([(1, 0, 0), point])
 
 
 def test_three_vertex_hull_facets_frozen():
@@ -436,6 +439,17 @@ def test_facet_size_limits():
         hull_facets([tuple(range(12)), tuple(range(1, 13))])
     with pytest.raises(SizeLimitError):
         hull_report(6, include_facets=True)
+
+
+def test_facet_dimension_refused_before_partitions_are_listed():
+    # p(50) = 204,226 partitions; p(4096) would not finish listing, so a
+    # ConciseVector point must be refused at once
+    for n in (50, 4096):
+        v = concise_flag_vector(Graph(n, frozenset()))
+        start = time.perf_counter()
+        with pytest.raises(TypeError):
+            hull_facets([v, v])
+        assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
