@@ -66,15 +66,14 @@ def _order(text: str) -> int:
 
 
 def build_parser() -> _Parser:
+    format_option = dict(choices=("text", "json"), help="output format (default: text)")
+    parser = _Parser(prog="graphflag")
+    parser.add_argument("--format", default="text", **format_option)
+    # also accepted after the command; with no default there, a value given
+    # before the command is not overwritten
     common = _Parser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
+    common.add_argument("--format", default=argparse.SUPPRESS, **format_option)
 
-    parser = _Parser(prog="graphflag", parents=[common])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser(

@@ -252,8 +252,7 @@ def _check_conversion_size(n: int) -> None:
     # every conversion handles up to 2^n words, so refuse before any work
     if n > MAX_VERBOSE_N:
         raise SizeLimitError(
-            f"conversions between verbose and concise forms support "
-            f"n <= {MAX_VERBOSE_N}, got n={n}"
+            f"conversions of verbose vectors support n <= {MAX_VERBOSE_N}, got n={n}"
         )
 
 
@@ -262,32 +261,29 @@ def shuffle(partition: Partition) -> VerboseVector:
     """Sum of all interleavings of the words b^(part-1) a, one per part.
 
     Parts are treated as distinguishable components, so the total coefficient
-    mass equals the multinomial coefficient of the part sizes.  Suffix sums
-    are packed as in _verbose_dp; every slot is at most that mass <= n!.
+    mass equals the multinomial coefficient of the part sizes.  An
+    interleaving starts with the first letter of one part's word: a for a
+    part 1, which is then used up, or b for a part m >= 2, which leaves
+    b^(m-2) a, the word of a part m - 1.  The mult_m parts of size m leave
+    the same rest, so shuffle(lambda) sums, over the distinct sizes m,
+    mult_m(lambda) times that letter followed by the shuffle of lambda with
+    its last part m lowered by one (a 0 dropped; the parts stay
+    non-increasing).  The shuffle of no parts is 1 on the empty word.
     """
     n = partition.n
     _check_conversion_size(n)
-    words = tuple("b" * (m - 1) + "a" for m in partition.parts)
-    width = _slot_bytes(math.factorial(n))
-    bits = 8 * width
-    memo: dict[tuple[int, ...], int] = {}
-
-    def merge(pos: tuple[int, ...], left: int) -> int:
-        # packed sum of the interleavings of what remains after pos
-        if not left:
-            return 1
-        got = memo.get(pos)
-        if got is not None:
-            return got
-        out = 0
-        for k, w in enumerate(words):
-            if pos[k] < len(w):
-                nxt = merge(pos[:k] + (pos[k] + 1,) + pos[k + 1 :], left - 1)
-                out += nxt << (bits << (left - 1)) if w[pos[k]] == "b" else nxt
-        memo[pos] = out
-        return out
-
-    return VerboseVector._raw(n, _unpack(n, merge((0,) * len(words), n), width))
+    parts = partition.parts
+    total: dict[str, int] = {} if parts else {"": 1}
+    for i, m in enumerate(parts):
+        if parts[i + 1 : i + 2] == (m,):
+            continue  # not the last part of its size
+        rest = parts[:i] + ((m - 1,) if m > 1 else ()) + parts[i + 1 :]
+        letter = "b" if m > 1 else "a"
+        mult = parts.count(m)
+        for w, c in shuffle(_partition(rest))._coeffs.items():
+            w = letter + w
+            total[w] = total.get(w, 0) + mult * c
+    return VerboseVector._raw(n, total)
 
 
 def verbose_from_concise(v: ConciseVector) -> VerboseVector:
@@ -373,6 +369,7 @@ def complement_transform(v: VerboseVector) -> VerboseVector:
     expanded multilinearly.
     """
     n = v.n
+    _check_conversion_size(n)  # a word of n letters a expands to 2^(n-1) words
     total: dict[str, int] = {}
     for word, coeff in v.items():
         acc = {"": coeff}
@@ -398,6 +395,10 @@ def total_word_coefficient(n: int, word: str) -> int:
     Closed form: n! times a per-letter factor at right-to-left position i,
     namely 2^(i-1) for a and (i-1) 2^(i-2) for b.
     """
+    if n > MAX_TOTAL_N:  # the value has about n^2 / 2 bits
+        raise SizeLimitError(
+            f"total_word_coefficient supports n <= {MAX_TOTAL_N}, got n={n}"
+        )
     if len(word) != n or any(ch not in "ab" for ch in word):
         raise ValueError(f"word {word!r} must have length {n} over letters a,b")
     out = math.factorial(n)

@@ -11,6 +11,7 @@ import itertools
 from typing import Iterator
 
 from .errors import SizeLimitError
+from .flagvectors import MAX_VERBOSE_N
 from .graphs import Graph, bit_indices, component_masks
 from .vectors import VerboseVector
 
@@ -134,6 +135,10 @@ def count_semiconcise_flags(g: Graph, word: str) -> int:
     every vertex, and picks for each b-vertex an edge of g to some vertex
     placed strictly later.
     """
+    if g.n > MAX_VERBOSE_N:  # the order of the verbose vectors it is checked against
+        raise SizeLimitError(
+            f"count_semiconcise_flags supports n <= {MAX_VERBOSE_N}, got n={g.n}"
+        )
     if len(word) != g.n or any(ch not in "ab" for ch in word):
         raise ValueError(f"word {word!r} must have length {g.n} over letters a,b")
     segments: list[int] = []  # >= 0: unordered block of that size; -1: a b-vertex

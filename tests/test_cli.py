@@ -284,6 +284,36 @@ def test_json_output_is_deterministic(capsys):
     assert payload["all_distinct"] and payload["all_vertices"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rank", "--n", "3"),
+        ("nullspace", "--n", "4"),
+        ("hull", "--n", "4", "--mode", "vertices"),
+        ("enumerate", "--n", "4"),
+        ("flagvec", "--form", "concise", "--graph", "4:0-1,1-2,?2-3"),
+    ],
+)
+def test_format_is_read_before_and_after_the_command(capsys, argv):
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, after, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    json.loads(after)
+    code, before, _ = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert before == after
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(text)
+
+
+def test_format_listed_in_help(capsys):
+    for argv in ((), ("rank",)):
+        with pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        assert "--format {text,json}" in capsys.readouterr().out
+
+
 def test_selftest_detects_corrupted_scale_table(capsys, monkeypatch):
     # sabotage the per-part scale factor; the conversion criterion must fail
     import graphflag.flagvectors as fv

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -37,7 +38,12 @@ from graphflag import (
     verbose_flag_vector,
     verbose_from_concise,
 )
-from graphflag.flagvectors import MAX_CONCISE_N, MAX_VERBOSE_N, _anchor_system
+from graphflag.flagvectors import (
+    MAX_CONCISE_N,
+    MAX_TOTAL_N,
+    MAX_VERBOSE_N,
+    _anchor_system,
+)
 from graphflag.selftest import _shelling_sum, _subgraph_sum
 from graphflag.vectors import EdgeWordVector
 
@@ -244,6 +250,42 @@ def test_shuffle_examples():
         assert shuffle(_part(n)) == VerboseVector(n, {"b" * (n - 1) + "a": 1})
 
 
+def _interleavings(part):
+    # brute force: each distinct sequence of part labels, part i repeated
+    # m_i times, spelled as the interleaving it takes the letters from
+    labels = [i for i, m in enumerate(part.parts) for _ in range(m)]
+    total = {}
+    for seq in set(itertools.permutations(labels)):
+        pos = [0] * len(part.parts)
+        letters = []
+        for i in seq:
+            pos[i] += 1
+            letters.append("a" if pos[i] == part.parts[i] else "b")
+        word = "".join(letters)
+        total[word] = total.get(word, 0) + 1
+    return VerboseVector(part.n, total)
+
+
+def test_shuffle_matches_brute_force_interleavings():
+    for n in range(8):
+        for part in enumerate_partitions(n):
+            assert shuffle(part) == _interleavings(part)
+
+
+def test_shuffle_digest_to_the_verbose_bound():
+    # SHA-256 over the sorted items of all 272 shuffles with n <= 12, as the
+    # memo over part positions built them
+    h = hashlib.sha256()
+    count = 0
+    for n in range(MAX_VERBOSE_N + 1):
+        for part in enumerate_partitions(n):
+            h.update(repr((part.parts, shuffle(part).items())).encode())
+            count += 1
+    assert count == 272
+    digest = "77bd31968671a29f252a6e3fea4ace32f47f1f602ee494db077d19b780937e9d"
+    assert h.hexdigest() == digest
+
+
 def test_shuffle_mass_is_multinomial():
     for n in range(7):
         for part in enumerate_partitions(n):
@@ -325,7 +367,7 @@ def test_conversions_refuse_beyond_the_verbose_bound():
     n = MAX_VERBOSE_N + 1
     start = time.perf_counter()
     with pytest.raises(SizeLimitError):
-        shuffle(_part(*[1] * 30))  # a merge memo of 2^30 states
+        shuffle(_part(*[1] * 30))  # a shuffle over 2^30 words
     with pytest.raises(SizeLimitError):
         verbose_from_concise(concise_flag_vector(Graph(30, frozenset())))
     with pytest.raises(SizeLimitError):
@@ -366,6 +408,27 @@ def test_complement_transform_is_involution():
 
 # ---------------------------------------------------------------------------
 # totals
+
+def test_complement_transform_refuses_beyond_the_verbose_bound():
+    start = time.perf_counter()
+    for n in (MAX_VERBOSE_N + 1, 26):
+        with pytest.raises(SizeLimitError):
+            complement_transform(VerboseVector(n, {"a" * n: 1}))
+    assert time.perf_counter() - start < 1.0
+    n = MAX_VERBOSE_N
+    vec = complement_transform(VerboseVector(n, {"a" * n: 1}))
+    assert len(vec) == 2 ** (n - 1)
+
+
+def test_total_word_coefficient_refuses_beyond_its_bound():
+    start = time.perf_counter()
+    for n in (MAX_TOTAL_N + 1, 300000):
+        with pytest.raises(SizeLimitError):
+            total_word_coefficient(n, "a" * n)
+    assert time.perf_counter() - start < 1.0
+    n = MAX_TOTAL_N
+    assert total_word_coefficient(n, "a" * n) == math.factorial(n) * 2 ** math.comb(n, 2)
+
 
 def test_total_word_coefficients():
     assert total_word_coefficient(3, "baa") == 48

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from graphflag import (
     tree_shelling_number,
     verbose_contribution,
 )
+from graphflag.flagvectors import MAX_VERBOSE_N
 from graphflag.vectors import VerboseVector
 
 
@@ -218,6 +220,23 @@ def test_semiconcise_identity_against_shelling_oracle():
                 for run in word.split("b"):
                     factor *= math.factorial(len(run))
                 assert totals.get(word, 0) == factor * count_semiconcise_flags(g, word)
+
+
+def test_semiconcise_refuses_beyond_the_verbose_bound():
+    def path(n):
+        return _g(n, *((i, i + 1) for i in range(n - 1)))
+
+    start = time.perf_counter()
+    for n in (MAX_VERBOSE_N + 1, 26):
+        with pytest.raises(SizeLimitError):
+            count_semiconcise_flags(path(n), ("ab" * n)[:n])
+    assert time.perf_counter() - start < 1.0
+    n = MAX_VERBOSE_N
+    complete = _g(n, *itertools.combinations(range(n), 2))
+    assert count_semiconcise_flags(path(n), "a" * n) == 1
+    # the k-th b-vertex is any of n + 1 - k left and has an edge to each later one
+    expected = math.factorial(n) * math.factorial(n - 1)
+    assert count_semiconcise_flags(complete, "b" * (n - 1) + "a") == expected
 
 
 def test_semiconcise_rejects_bad_words():
