@@ -4,8 +4,9 @@ A graph's flag vector comes in three linearly equivalent forms: verbose
 (indexed by words over a and b), concise (indexed by partitions of the
 vertex count) and subgraph (partition-indexed, weighted by acyclic shelling
 numbers).  This package computes all three exactly, proves the equivalences
-constructively on concrete inputs, and analyses the span and convex hull of
-the flag vectors of all n-vertex graphs for n up to 6.
+constructively on concrete inputs, and analyses the span of the flag
+vectors of all n-vertex graphs for n up to 7 and their convex hull for n up
+to 6.
 
 All values are immutable and all operations pure, so independent inputs may
 safely be evaluated in parallel.

@@ -12,7 +12,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import MAX_DIGITS, DigitLimitError, GraphParseError, SizeLimitError
+from .errors import GraphParseError, SizeLimitError, check_size, read_number
 from .flagvectors import (
     MAX_TOTAL_N,
     basis_graph,
@@ -56,13 +56,12 @@ def _order(text: str) -> int:
     negative = digits.startswith("-")
     if negative:
         digits = digits[1:]
-    if not (digits.isascii() and digits.isdigit()):
+    n = read_number(digits, text.index(digits), "--n")
+    if n is None:
         raise UsageError(f"argument --n: invalid value {text!r} (ASCII digits)")
-    if len(digits) > MAX_DIGITS:
-        raise DigitLimitError(f"--n of {len(digits)} digits (at most {MAX_DIGITS})")
     if negative:
         raise UsageError(f"argument --n: must be nonnegative, got -{digits}")
-    return int(digits)
+    return n
 
 
 def build_parser() -> _Parser:
@@ -224,8 +223,7 @@ def _cmd_nullspace(args):
 
 def _cmd_average(args):
     n = args.n
-    if n > MAX_TOTAL_N:
-        raise SizeLimitError(f"average supports n <= {MAX_TOTAL_N}, got n={n}")
+    check_size(n, MAX_TOTAL_N, "average")
     count = 2 ** math.comb(n, 2)
     if args.word is not None:
         total = total_word_coefficient(n, args.word)
@@ -350,7 +348,7 @@ def main(argv=None) -> int:
         return 1
     lines, payload = out[0], out[1]
     code = out[2] if len(out) > 2 else 0
-    # the program's own integers (bounded by MAX_CONCISE_N) may pass Python's
+    # the program's own integers (bounded by MAX_GRAPH_N) may pass Python's
     # digit limit on int to str; parsing the untrusted input kept that limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

@@ -17,7 +17,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import SizeLimitError
+from .errors import MAX_GRAPH_N, check_size
 from .graphs import (
     Graph,
     GraphSum,
@@ -31,7 +31,6 @@ from .partitions import Partition, enumerate_partitions, multinomial
 from .vectors import ConciseVector, EdgeWordVector, VerboseVector
 
 MAX_VERBOSE_N = 12  # whole graph for verbose, each component for concise
-MAX_CONCISE_N = 4096  # whole graph for concise and subgraph
 MAX_TOTAL_N = 20
 MAX_BASIS_N = 8
 MAX_EDGE_FLAG_EDGES = 7
@@ -40,9 +39,9 @@ GraphLike = Graph | OptionalGraph | GraphSum
 Masks = tuple[int, ...]  # per-vertex neighbour bitmasks
 
 
-def _terms(g: GraphLike, bound: int, forms: str) -> list[tuple[Masks, Masks, int]]:
-    """Signed labelled terms as (regular masks, optional masks, coefficient),
-    refusing n > bound first; a GraphSum's keys are used as stored."""
+def _terms(g: GraphLike) -> list[tuple[Masks, Masks, int]]:
+    """Signed labelled terms as (regular masks, optional masks, coefficient);
+    a GraphSum's keys are used as stored."""
     if isinstance(g, GraphSum):
         terms = [(t.edges, (), c) for t, c in g.items()]
     elif isinstance(g, OptionalGraph):
@@ -51,8 +50,6 @@ def _terms(g: GraphLike, bound: int, forms: str) -> list[tuple[Masks, Masks, int
         terms = [(g.edges, (), 1)]
     else:
         raise TypeError(f"expected Graph, OptionalGraph or GraphSum, got {g!r}")
-    if g.n > bound:
-        raise SizeLimitError(f"{forms} flag vectors support n <= {bound}, got n={g.n}")
     return [(neighbor_masks(g.n, r), neighbor_masks(g.n, o), c) for r, o, c in terms]
 
 
@@ -149,8 +146,9 @@ def verbose_flag_vector(g: GraphLike) -> VerboseVector:
     f(S - v) on each labelled term, with optional edges folded into the
     step weight.
     """
+    check_size(g.n, MAX_VERBOSE_N, "verbose_flag_vector")
     total = VerboseVector(g.n)
-    for reg, opt, coeff in _terms(g, MAX_VERBOSE_N, "verbose"):
+    for reg, opt, coeff in _terms(g):
         total += coeff * _verbose_dp(reg, opt)
     return total
 
@@ -173,10 +171,7 @@ def _partition(parts: tuple[int, ...]) -> Partition:
 def _concise_term(reg: Masks, opt: Masks) -> dict[Partition, int]:
     comps = component_masks([r | o for r, o in zip(reg, opt)])
     big = max((c.bit_count() for c in comps), default=0)
-    if big > MAX_VERBOSE_N:
-        raise SizeLimitError(
-            f"components of at most {MAX_VERBOSE_N} vertices supported, got {big}"
-        )
+    check_size(big, MAX_VERBOSE_N, "concise_flag_vector", "component size")
     coeffs: dict[tuple[int, ...], int] = {(): 1}
     ones = 0  # an isolated vertex only adds the part 1
     for comp in comps:
@@ -202,11 +197,10 @@ def concise_flag_vector(g: GraphLike) -> ConciseVector:
     factor over connected components, so each component (at most
     MAX_VERBOSE_N vertices, regular and optional edges alike) is inverted
     from its own verbose recursion and the products of their coefficients
-    are filed under the unions of their parts.  The whole graph may have
-    up to MAX_CONCISE_N vertices.
+    are filed under the unions of their parts.
     """
     total: dict[Partition, int] = {}
-    for reg, opt, coeff in _terms(g, MAX_CONCISE_N, "concise and subgraph"):
+    for reg, opt, coeff in _terms(g):
         for part, c in _concise_term(reg, opt).items():
             total[part] = total.get(part, 0) + coeff * c
     return ConciseVector._raw(g.n, total)
@@ -232,6 +226,7 @@ def scale_subgraph_to_concise(v: ConciseVector) -> ConciseVector:
     product of per-part component scales (1, 2, 4 for sizes 1, 2, >= 3).
     The division must be exact.
     """
+    check_size(v.n, MAX_GRAPH_N, "scale_subgraph_to_concise")
     out: dict[Partition, int] = {}
     for part, c in v.items():
         denom = multinomial(v.n, part.parts) * _part_scale(part)
@@ -248,14 +243,6 @@ def scale_subgraph_to_concise(v: ConciseVector) -> ConciseVector:
 # ---------------------------------------------------------------------------
 # conversions between verbose and concise
 
-def _check_conversion_size(n: int) -> None:
-    # every conversion handles up to 2^n words, so refuse before any work
-    if n > MAX_VERBOSE_N:
-        raise SizeLimitError(
-            f"conversions of verbose vectors support n <= {MAX_VERBOSE_N}, got n={n}"
-        )
-
-
 @lru_cache(maxsize=512)  # holds every partition of 0..MAX_VERBOSE_N
 def shuffle(partition: Partition) -> VerboseVector:
     """Sum of all interleavings of the words b^(part-1) a, one per part.
@@ -271,7 +258,7 @@ def shuffle(partition: Partition) -> VerboseVector:
     non-increasing).  The shuffle of no parts is 1 on the empty word.
     """
     n = partition.n
-    _check_conversion_size(n)
+    check_size(n, MAX_VERBOSE_N, "shuffle")
     parts = partition.parts
     total: dict[str, int] = {} if parts else {"": 1}
     for i, m in enumerate(parts):
@@ -292,7 +279,7 @@ def verbose_from_concise(v: ConciseVector) -> VerboseVector:
     Each partition contributes its coefficient times the product of component
     scales times the shuffle of its parts.
     """
-    _check_conversion_size(v.n)
+    check_size(v.n, MAX_VERBOSE_N, "verbose_from_concise")
     total: dict[str, int] = {}
     for part, c in v.items():
         scale = c * _part_scale(part)
@@ -307,6 +294,7 @@ def anchor_word(partition: Partition) -> str:
     Parts in non-decreasing order, each contributing b^(part-1) a.  Distinct
     partitions of n give distinct anchor words.
     """
+    check_size(partition.n, MAX_VERBOSE_N, "anchor_word")
     return "".join("b" * (m - 1) + "a" for m in sorted(partition.parts))
 
 
@@ -335,7 +323,7 @@ def concise_from_verbose(v: VerboseVector) -> ConciseVector:
     the result's verbose expansion: a nonzero one means the input lies
     outside the span of graph flag vectors.
     """
-    _check_conversion_size(v.n)
+    check_size(v.n, MAX_VERBOSE_N, "concise_from_verbose")
     residual = dict(v._coeffs)
     coeffs: dict[Partition, int] = {}
     for part, anchor, scale, diagonal in _anchor_system(v.n):
@@ -369,7 +357,7 @@ def complement_transform(v: VerboseVector) -> VerboseVector:
     expanded multilinearly.
     """
     n = v.n
-    _check_conversion_size(n)  # a word of n letters a expands to 2^(n-1) words
+    check_size(n, MAX_VERBOSE_N, "complement_transform")  # a^n expands to 2^(n-1) words
     total: dict[str, int] = {}
     for word, coeff in v.items():
         acc = {"": coeff}
@@ -395,10 +383,7 @@ def total_word_coefficient(n: int, word: str) -> int:
     Closed form: n! times a per-letter factor at right-to-left position i,
     namely 2^(i-1) for a and (i-1) 2^(i-2) for b.
     """
-    if n > MAX_TOTAL_N:  # the value has about n^2 / 2 bits
-        raise SizeLimitError(
-            f"total_word_coefficient supports n <= {MAX_TOTAL_N}, got n={n}"
-        )
+    check_size(n, MAX_TOTAL_N, "total_word_coefficient")  # about n^2 / 2 bits
     if len(word) != n or any(ch not in "ab" for ch in word):
         raise ValueError(f"word {word!r} must have length {n} over letters a,b")
     out = math.factorial(n)
@@ -415,10 +400,7 @@ def total_flag_vector(n: int) -> VerboseVector:
     """Sum of the verbose flag vectors of all labelled graphs on n vertices."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > MAX_TOTAL_N:
-        raise SizeLimitError(
-            f"total_flag_vector supports n <= {MAX_TOTAL_N}, got n={n}"
-        )
+    check_size(n, MAX_TOTAL_N, "total_flag_vector")
     coeffs: dict[str, int] = {}
     for letters in itertools.product("ab", repeat=n):
         w = "".join(letters)
@@ -458,10 +440,7 @@ def basis_graph(partition: Partition) -> GraphSum:
     twice the optional path minus the optional tripod.  Parts combine by
     disjoint union, distributed over the sums.
     """
-    if partition.n > MAX_BASIS_N:
-        raise SizeLimitError(
-            f"basis_graph supports n <= {MAX_BASIS_N}, got n={partition.n}"
-        )
+    check_size(partition.n, MAX_BASIS_N, "basis_graph")
     out = GraphSum.from_graph(Graph(0, frozenset()))
     for m in partition.parts:
         arm = expand(optional_path(m))
@@ -482,11 +461,7 @@ def edge_flag_vector(g: Graph) -> EdgeWordVector:
     a + (lo - 1) b + (hi - lo) c.
     """
     edges = sorted(g.edges)
-    if len(edges) > MAX_EDGE_FLAG_EDGES:
-        raise SizeLimitError(
-            f"edge_flag_vector supports at most {MAX_EDGE_FLAG_EDGES} edges, "
-            f"got {len(edges)}"
-        )
+    check_size(len(edges), MAX_EDGE_FLAG_EDGES, "edge_flag_vector", "edges")
     base_deg = [g.degree(v) for v in range(g.n)]
     total: dict[str, int] = {}
     for order in itertools.permutations(edges):

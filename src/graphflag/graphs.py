@@ -25,11 +25,12 @@ ordered vertex partitions decides whether a candidate is least.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import MAX_DIGITS, DigitLimitError, GraphParseError, SizeLimitError
+from .errors import MAX_GRAPH_N, GraphParseError, check_size, read_number
 from .partitions import Partition
 from .vectors import _FormalVector
 
@@ -40,8 +41,8 @@ Edge = tuple[int, int]
 
 MAX_CANONICAL_N = 10  # row filter over all n! relabellings
 MAX_ENUMERATE_N = 8
-MAX_EXPAND_OPTIONAL = 20
-MAX_COMPLEMENT_N = 256
+MAX_EXPAND_WORK = 2**24  # 2^k n!: 2^k terms of k optional edges, n! relabellings each
+MAX_PAIR_ORDER_N = 256  # pair_order, and so bitstrings, serialisation and complements
 
 _BLOCK_N = 8  # for n >= 9 the relabellings are filtered in blocks of 8! rows
 
@@ -57,6 +58,7 @@ def bit_indices(mask: int) -> Iterator[int]:
 @lru_cache(maxsize=None)
 def pair_order(n: int) -> tuple[Edge, ...]:
     """All vertex pairs (i, j) with i < j, in the fixed lexicographic order."""
+    check_size(n, MAX_PAIR_ORDER_N, "pair_order")
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
@@ -92,6 +94,7 @@ class Graph:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {self.n!r}")
+        check_size(self.n, MAX_GRAPH_N, "Graph")
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
         _check_edges(self.n, self.edges)
@@ -159,6 +162,7 @@ class OptionalGraph:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {self.n!r}")
+        check_size(self.n, MAX_GRAPH_N, "OptionalGraph")
         for name in ("regular", "optional"):
             if not isinstance(getattr(self, name), frozenset):
                 object.__setattr__(self, name, frozenset(getattr(self, name)))
@@ -195,11 +199,6 @@ class OptionalGraph:
         return self.to_text()
 
 
-def _is_number(s: str) -> bool:
-    # the grammar's digits are ASCII; str.isdigit also accepts "²" and the like
-    return s.isascii() and s.isdigit()
-
-
 def parse_graph(text: str) -> OptionalGraph:
     """Parse `n ":" edge ("," edge)*` where edge is `["?"] i "-" j`.
 
@@ -212,14 +211,10 @@ def parse_graph(text: str) -> OptionalGraph:
     if colon < 0:
         raise GraphParseError(f"missing ':' in graph text {text!r}")
     head = text[:colon].strip()
-    if not _is_number(head):
+    n = read_number(head, 0, "vertex count")
+    if n is None:
         raise GraphParseError(f"bad vertex count {head!r} at position 0")
-    if len(head) > MAX_DIGITS:
-        raise DigitLimitError(
-            f"vertex count of {len(head)} digits at position 0 "
-            f"(at most {MAX_DIGITS})"
-        )
-    n = int(head)
+    check_size(n, MAX_GRAPH_N, "parse_graph")
 
     regular: set[Edge] = set()
     optional: set[Edge] = set()
@@ -237,15 +232,10 @@ def parse_graph(text: str) -> OptionalGraph:
             body = tok[1:] if is_opt else tok
             left, dash, right = body.partition("-")
             left, right = left.strip(), right.strip()
-            if not dash or not _is_number(left) or not _is_number(right):
+            i = read_number(left, at, "vertex index")
+            j = read_number(right, at, "vertex index")
+            if not dash or i is None or j is None:
                 raise GraphParseError(f"bad edge {tok!r} at position {at}")
-            digits = max(len(left), len(right))
-            if digits > MAX_DIGITS:
-                raise DigitLimitError(
-                    f"vertex index of {digits} digits in the edge at position {at} "
-                    f"(at most {MAX_DIGITS})"
-                )
-            i, j = int(left), int(right)
             if i == j:
                 raise GraphParseError(f"self-loop {tok!r} at position {at}")
             if not (0 <= i < n and 0 <= j < n):
@@ -356,10 +346,7 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     q = rho^-1 in lexicographic order.
     """
     n = g.n
-    if n > MAX_CANONICAL_N:
-        raise SizeLimitError(
-            f"canonical_form supports n <= {MAX_CANONICAL_N}, got n={n}"
-        )
+    check_size(n, MAX_CANONICAL_N, "canonical_form")
     if n <= 1 or not g.edges:
         return g, tuple(range(n))
     code, q = _min_relabelling(n, g.edges)
@@ -420,10 +407,9 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     of ones, and a child is kept iff `_is_least` accepts it.  Each class
     appears exactly once, and no canonical form is computed.
     """
-    if not 0 <= n <= MAX_ENUMERATE_N:
-        raise SizeLimitError(
-            f"enumerate_graphs supports 0 <= n <= {MAX_ENUMERATE_N}, got n={n}"
-        )
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    check_size(n, MAX_ENUMERATE_N, "enumerate_graphs")
     pairs = pair_order(n)
     m = len(pairs)  # bit i of a code is the pair pairs[m - 1 - i]
     full = (1 << n) - 1
@@ -514,19 +500,14 @@ def expand(og: OptionalGraph) -> GraphSum:
     """Inclusion-exclusion expansion of optional edges into a signed sum.
 
     Each subset B of the optional set contributes the ordinary graph with
-    edges E union B, signed by (-1)^(|C|-|B|).
+    edges E union B, signed by (-1)^(|C|-|B|).  Every term is keyed by its
+    canonical form, so n is bounded as there, and the 2^|C| searches of up
+    to n! relabellings each are bounded together.
     """
-    if og.n > MAX_CANONICAL_N:
-        # every term is keyed by its canonical form, which would refuse it
-        raise SizeLimitError(
-            f"expand supports n <= {MAX_CANONICAL_N}, got n={og.n}"
-        )
+    check_size(og.n, MAX_CANONICAL_N, "expand")
     choices = sorted(og.optional)
-    if len(choices) > MAX_EXPAND_OPTIONAL:
-        raise SizeLimitError(
-            f"expand supports at most {MAX_EXPAND_OPTIONAL} optional edges, "
-            f"got {len(choices)}"
-        )
+    work = 2 ** len(choices) * math.factorial(og.n)
+    check_size(work, MAX_EXPAND_WORK, "expand", "2^(optional edges) * n!")
     raw: dict[Graph, int] = {}
     for r in range(len(choices) + 1):
         sign = (-1) ** (len(choices) - r)
@@ -538,8 +519,5 @@ def expand(og: OptionalGraph) -> GraphSum:
 
 def complement(g: Graph) -> Graph:
     """The graph on the same vertices whose edges are exactly the non-edges."""
-    if g.n > MAX_COMPLEMENT_N:
-        raise SizeLimitError(
-            f"complement supports n <= {MAX_COMPLEMENT_N}, got n={g.n}"
-        )
+    check_size(g.n, MAX_PAIR_ORDER_N, "complement")
     return Graph(g.n, frozenset(pair_order(g.n)) - g.edges)

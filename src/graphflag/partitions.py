@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import MAX_DIGITS, DigitLimitError
+from .errors import MAX_GRAPH_N, check_size, read_number
+
+MAX_PARTITIONS_N = 30  # p(30) = 5604
 
 
 @dataclass(frozen=True, order=True)
@@ -50,15 +52,11 @@ class Partition:
         pos = text.index("[") + 1
         for token in body.split("+"):
             tok = token.strip()
-            # int() alone would also read "٣" and "1_0", str.isdigit "²"
             at = pos + token.find(tok)
-            if not (tok.isascii() and tok.isdigit()):
+            size = read_number(tok, at, "part")
+            if size is None:
                 raise ValueError(f"bad part {tok!r} at position {at} in {text!r}")
-            if len(tok) > MAX_DIGITS:
-                raise DigitLimitError(
-                    f"part of {len(tok)} digits at position {at} (at most {MAX_DIGITS})"
-                )
-            sizes.append(int(tok))
+            sizes.append(size)
             pos += len(token) + 1
         return cls.from_sizes(sizes)
 
@@ -78,6 +76,7 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, each exactly once, in canonical order."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    check_size(n, MAX_PARTITIONS_N, "enumerate_partitions")
 
     def gen(total: int, cap: int) -> Iterator[tuple[int, ...]]:
         if total == 0:
@@ -97,6 +96,7 @@ def partition_count(n: int) -> int:
 
 def multinomial(n: int, parts: Iterable[int]) -> int:
     """Multinomial coefficient n! / (p_1! p_2! ... p_r!)."""
+    check_size(n, MAX_GRAPH_N, "multinomial")
     parts = tuple(parts)
     if sum(parts) != n:
         raise ValueError(f"parts {parts!r} do not sum to {n}")

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import SizeLimitError
+from .errors import check_size
 from .exactlin import EchelonRows, RationalMatrix, integer_rows, lp_feasible
 from .flagvectors import concise_flag_vector
 from .graphs import Graph, bit_indices, connected_partition, enumerate_graphs
@@ -54,10 +54,7 @@ def _class_vectors(n: int) -> tuple[ConciseVector, ...]:
 
 def span_dimension(n: int) -> int:
     """Rank of the matrix of concise flag vectors over all n-vertex classes."""
-    if not 0 <= n <= MAX_SPAN_N:
-        raise SizeLimitError(
-            f"span_dimension supports 0 <= n <= {MAX_SPAN_N}, got n={n}"
-        )
+    check_size(n, MAX_SPAN_N, "span_dimension")
     echelon = EchelonRows()
     for _, coords in class_concise_points(n):
         if echelon.rank == len(coords):  # full column rank
@@ -174,10 +171,7 @@ def hull_report(n: int, include_facets: bool = False) -> HullReport:
     fails that check goes to the LP.  Duplicated points (if any) share a
     verdict; distinctness is reported alongside.
     """
-    if not 0 <= n <= MAX_HULL_N:
-        raise SizeLimitError(
-            f"hull_report supports 0 <= n <= {MAX_HULL_N}, got n={n}"
-        )
+    check_size(n, MAX_HULL_N, "hull_report")
     pts = class_concise_points(n)
     groups: dict[tuple[int, ...], list[Graph]] = {}
     for g, coords in pts:
@@ -339,17 +333,9 @@ def _facet_incidence(points: Sequence[Sequence]) -> list[tuple[FacetInequality, 
     of first occurrence."""
     scaled, scale = integer_rows(points)
     unique = list(dict.fromkeys(scaled))
-    if len(unique) > MAX_FACET_POINTS:
-        raise SizeLimitError(
-            f"hull_facets supports at most {MAX_FACET_POINTS} distinct points, "
-            f"got {len(unique)}"
-        )
+    check_size(len(unique), MAX_FACET_POINTS, "hull_facets", "distinct points")
     ambient = len(unique[0]) if unique else 0
-    if ambient > MAX_FACET_DIM:
-        raise SizeLimitError(
-            f"hull_facets supports ambient dimension <= {MAX_FACET_DIM}, "
-            f"got {ambient}"
-        )
+    check_size(ambient, MAX_FACET_DIM, "hull_facets", "ambient dimension")
     if len(unique) < 2:  # no points, or one: no facets
         return []
     p0, chart = _affine_chart(unique)
@@ -448,10 +434,7 @@ def nullspace_report(n: int) -> NullspaceReport:
       they are independent and their common kernel, which holds the cycle
       span, has dimension classes - forests.
     """
-    if not 0 <= n <= MAX_SPAN_N:
-        raise SizeLimitError(
-            f"nullspace_report supports 0 <= n <= {MAX_SPAN_N}, got n={n}"
-        )
+    check_size(n, MAX_SPAN_N, "nullspace_report")
     classes = [g for g, _ in class_concise_points(n)]
     kernel_dim = len(classes) - span_dimension(n)
     forests = sum(

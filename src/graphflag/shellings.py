@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .errors import SizeLimitError
+from .errors import check_size
 from .flagvectors import MAX_VERBOSE_N
 from .graphs import Graph, bit_indices, component_masks
 from .vectors import VerboseVector
@@ -23,10 +23,7 @@ MAX_TREE_COMPONENT = 12
 
 def enumerate_shellings(g: Graph) -> Iterator[Shelling]:
     """All n! removal orders of g's vertices, in lexicographic order."""
-    if g.n > MAX_SHELLING_N:
-        raise SizeLimitError(
-            f"enumerate_shellings supports n <= {MAX_SHELLING_N}, got n={g.n}"
-        )
+    check_size(g.n, MAX_SHELLING_N, "enumerate_shellings")
     return itertools.permutations(range(g.n))
 
 
@@ -37,10 +34,7 @@ def acyclic_shelling_number(g: Graph) -> int:
     its removal.  Zero whenever g contains a cycle.  Counted by depth-first
     search over residual vertex sets, memoised per set.
     """
-    if g.n > MAX_SHELLING_N:
-        raise SizeLimitError(
-            f"acyclic_shelling_number supports n <= {MAX_SHELLING_N}, got n={g.n}"
-        )
+    check_size(g.n, MAX_SHELLING_N, "acyclic_shelling_number")
     masks = g.neighbor_masks()
     memo = {0: 1}
 
@@ -93,11 +87,7 @@ def tree_shelling_number(g: Graph) -> int:
             return 0
         if size <= 3:
             continue
-        if size > MAX_TREE_COMPONENT:
-            raise SizeLimitError(
-                f"tree component of size {size} exceeds the bound "
-                f"{MAX_TREE_COMPONENT}"
-            )
+        check_size(size, MAX_TREE_COMPONENT, "tree_shelling_number", "tree component size")
         total *= _leaf_sequence_count(comp, masks)
     return total
 
@@ -109,6 +99,7 @@ def verbose_contribution(g: Graph, order: Shelling) -> VerboseVector:
     letter b weighted by the number of edges from it into the not-yet-removed
     vertices.  The factors multiply left to right in removal order.
     """
+    check_size(g.n, MAX_VERBOSE_N, "verbose_contribution")
     if sorted(order) != list(range(g.n)):
         raise ValueError(f"{order!r} is not a permutation of 0..{g.n - 1}")
     masks = g.neighbor_masks()
@@ -135,10 +126,8 @@ def count_semiconcise_flags(g: Graph, word: str) -> int:
     every vertex, and picks for each b-vertex an edge of g to some vertex
     placed strictly later.
     """
-    if g.n > MAX_VERBOSE_N:  # the order of the verbose vectors it is checked against
-        raise SizeLimitError(
-            f"count_semiconcise_flags supports n <= {MAX_VERBOSE_N}, got n={g.n}"
-        )
+    # the order of the verbose vectors it is checked against
+    check_size(g.n, MAX_VERBOSE_N, "count_semiconcise_flags")
     if len(word) != g.n or any(ch not in "ab" for ch in word):
         raise ValueError(f"word {word!r} must have length {g.n} over letters a,b")
     segments: list[int] = []  # >= 0: unordered block of that size; -1: a b-vertex

@@ -38,8 +38,8 @@ from graphflag import (
     verbose_flag_vector,
     verbose_from_concise,
 )
+from graphflag.errors import MAX_GRAPH_N
 from graphflag.flagvectors import (
-    MAX_CONCISE_N,
     MAX_TOTAL_N,
     MAX_VERBOSE_N,
     _anchor_system,
@@ -123,13 +123,13 @@ def test_verbose_size_limit():
 
 def test_concise_whole_graph_limit():
     edge = frozenset({(0, 1)})
-    top = Partition((2,) + (1,) * (MAX_CONCISE_N - 2))
-    assert concise_flag_vector(Graph(MAX_CONCISE_N, edge)) == ConciseVector(
-        MAX_CONCISE_N, {Partition((1,) * MAX_CONCISE_N): 1, top: 1}
+    top = Partition((2,) + (1,) * (MAX_GRAPH_N - 2))
+    assert concise_flag_vector(Graph(MAX_GRAPH_N, edge)) == ConciseVector(
+        MAX_GRAPH_N, {Partition((1,) * MAX_GRAPH_N): 1, top: 1}
     )
     for form in (concise_flag_vector, subgraph_flag_vector):
         with pytest.raises(SizeLimitError):
-            form(Graph(MAX_CONCISE_N + 1, edge))
+            form(Graph(MAX_GRAPH_N + 1, edge))
 
 
 def test_verbose_rejects_unknown_method():

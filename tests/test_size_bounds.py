@@ -1,0 +1,185 @@
+"""Every public entry point with a size bound answers inside it and refuses
+just past it, and far past it, with SizeLimitError before any work."""
+
+import argparse
+import time
+
+import pytest
+
+from graphflag import (
+    ConciseVector,
+    Graph,
+    OptionalGraph,
+    Partition,
+    SizeLimitError,
+    VerboseVector,
+    acyclic_shelling_number,
+    anchor_word,
+    basis_graph,
+    canonical_form,
+    complement,
+    complement_transform,
+    concise_flag_vector,
+    concise_from_verbose,
+    connected_partition,
+    count_semiconcise_flags,
+    edge_flag_vector,
+    enumerate_graphs,
+    enumerate_partitions,
+    enumerate_shellings,
+    expand,
+    hull_facets,
+    hull_report,
+    multinomial,
+    nullspace_report,
+    pair_order,
+    parse_graph,
+    partition_count,
+    scale_subgraph_to_concise,
+    shuffle,
+    span_dimension,
+    total_flag_vector,
+    total_word_coefficient,
+    tree_shelling_number,
+    verbose_contribution,
+    verbose_flag_vector,
+    verbose_from_concise,
+)
+from graphflag.cli import _cmd_average, main
+from graphflag.errors import MAX_GRAPH_N
+from graphflag.flagvectors import (
+    MAX_BASIS_N,
+    MAX_EDGE_FLAG_EDGES,
+    MAX_TOTAL_N,
+    MAX_VERBOSE_N,
+)
+from graphflag.graphs import (
+    MAX_CANONICAL_N,
+    MAX_ENUMERATE_N,
+    MAX_EXPAND_WORK,
+    MAX_PAIR_ORDER_N,
+)
+from graphflag.partitions import MAX_PARTITIONS_N
+from graphflag.polytope import MAX_FACET_DIM, MAX_FACET_POINTS, MAX_HULL_N, MAX_SPAN_N
+from graphflag.shellings import MAX_SHELLING_N, MAX_TREE_COMPONENT
+
+HUGE_N = 10**6
+
+
+def _edgeless(n):
+    return Graph(n, frozenset())
+
+
+def _path(n):
+    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def _optional8(k):
+    # k optional edges on 8 vertices: 2^k terms of up to 8! relabellings each
+    return OptionalGraph(8, frozenset(), frozenset(pair_order(8)[:k]))
+
+
+# the most optional edges expand takes on 8 vertices: 8, as 2^8 8! <= 2^24
+_OPTIONAL8_K = max(k for k in range(29) if 2**k * 40320 <= MAX_EXPAND_WORK)
+
+# (name, call on one value, a cheap value inside the bound, bound, huge value)
+BOUNDS = [
+    # the graph bound, checked where a graph is made
+    ("Graph", _edgeless, MAX_GRAPH_N, MAX_GRAPH_N, 10**9),
+    ("OptionalGraph", lambda n: OptionalGraph(n, frozenset(), frozenset()),
+     MAX_GRAPH_N, MAX_GRAPH_N, 10**9),
+    ("parse_graph", lambda n: parse_graph(f"{n}:0-1"), MAX_GRAPH_N, MAX_GRAPH_N, 10**9),
+    # graphs
+    ("canonical_form", lambda n: canonical_form(_edgeless(n)),
+     MAX_CANONICAL_N, MAX_CANONICAL_N, MAX_GRAPH_N),
+    ("enumerate_graphs", enumerate_graphs, 4, MAX_ENUMERATE_N, HUGE_N),
+    ("expand n", lambda n: expand(OptionalGraph(n, frozenset(), frozenset())),
+     MAX_CANONICAL_N, MAX_CANONICAL_N, MAX_GRAPH_N),
+    ("expand work", lambda k: expand(_optional8(k)), 2, _OPTIONAL8_K, 28),
+    ("complement", lambda n: complement(_edgeless(n)), 20, MAX_PAIR_ORDER_N, MAX_GRAPH_N),
+    ("pair_order", pair_order, MAX_PAIR_ORDER_N, MAX_PAIR_ORDER_N, HUGE_N),
+    ("Graph.serialize", lambda n: _edgeless(n).serialize(),
+     MAX_PAIR_ORDER_N, MAX_PAIR_ORDER_N, MAX_GRAPH_N),
+    # flag vectors and conversions
+    ("verbose_flag_vector", lambda n: verbose_flag_vector(_edgeless(n)),
+     MAX_VERBOSE_N, MAX_VERBOSE_N, MAX_GRAPH_N),
+    ("concise_flag_vector component", lambda n: concise_flag_vector(_path(n)),
+     MAX_VERBOSE_N, MAX_VERBOSE_N, MAX_GRAPH_N),
+    ("shuffle", lambda n: shuffle(Partition((n,))), MAX_VERBOSE_N, MAX_VERBOSE_N, HUGE_N),
+    ("verbose_from_concise",
+     lambda n: verbose_from_concise(ConciseVector(n, {Partition((n,)): 1})),
+     MAX_VERBOSE_N, MAX_VERBOSE_N, HUGE_N),
+    ("concise_from_verbose", lambda n: concise_from_verbose(VerboseVector(n)),
+     MAX_VERBOSE_N, MAX_VERBOSE_N, HUGE_N),
+    ("complement_transform",
+     lambda n: complement_transform(VerboseVector(n, {"a" * n: 1})),
+     MAX_VERBOSE_N, MAX_VERBOSE_N, HUGE_N),
+    ("anchor_word", lambda n: anchor_word(Partition((n,))), MAX_VERBOSE_N, MAX_VERBOSE_N,
+     10**11),
+    ("total_word_coefficient", lambda n: total_word_coefficient(n, "a" * n),
+     MAX_TOTAL_N, MAX_TOTAL_N, HUGE_N),
+    ("total_flag_vector", total_flag_vector, 3, MAX_TOTAL_N, HUGE_N),
+    ("average", lambda n: _cmd_average(argparse.Namespace(n=n, word=None)), 3,
+     MAX_TOTAL_N, HUGE_N),
+    ("basis_graph", lambda n: basis_graph(Partition((n,))), 3, MAX_BASIS_N, HUGE_N),
+    ("edge_flag_vector", lambda m: edge_flag_vector(_path(m + 1)), 3,
+     MAX_EDGE_FLAG_EDGES, MAX_GRAPH_N - 1),
+    ("scale_subgraph_to_concise",
+     lambda n: scale_subgraph_to_concise(ConciseVector(n, {Partition((n,)): 4})),
+     MAX_GRAPH_N, MAX_GRAPH_N, HUGE_N),
+    # partitions
+    ("enumerate_partitions", enumerate_partitions, MAX_PARTITIONS_N, MAX_PARTITIONS_N,
+     HUGE_N),
+    ("partition_count", partition_count, MAX_PARTITIONS_N, MAX_PARTITIONS_N, HUGE_N),
+    ("multinomial", lambda n: multinomial(n, [n - 1, 1]), MAX_GRAPH_N, MAX_GRAPH_N,
+     HUGE_N),
+    # span, hull and null space
+    ("span_dimension", span_dimension, 3, MAX_SPAN_N, HUGE_N),
+    ("hull_report", hull_report, 3, MAX_HULL_N, HUGE_N),
+    ("nullspace_report", nullspace_report, 3, MAX_SPAN_N, HUGE_N),
+    ("hull_facets points", lambda k: hull_facets([(i,) for i in range(k)]),
+     MAX_FACET_POINTS, MAX_FACET_POINTS, 10**5),
+    ("hull_facets dimension", lambda d: hull_facets([(0,) * d, (1,) * d]),
+     MAX_FACET_DIM, MAX_FACET_DIM, 10**5),
+    # shellings
+    ("enumerate_shellings", lambda n: enumerate_shellings(_edgeless(n)),
+     MAX_SHELLING_N, MAX_SHELLING_N, MAX_GRAPH_N),
+    ("acyclic_shelling_number", lambda n: acyclic_shelling_number(_edgeless(n)),
+     MAX_SHELLING_N, MAX_SHELLING_N, MAX_GRAPH_N),
+    ("tree_shelling_number", lambda n: tree_shelling_number(_path(n)),
+     MAX_TREE_COMPONENT, MAX_TREE_COMPONENT, MAX_GRAPH_N),
+    ("count_semiconcise_flags",
+     lambda n: count_semiconcise_flags(_edgeless(n), "a" * n),
+     MAX_VERBOSE_N, MAX_VERBOSE_N, MAX_GRAPH_N),
+    ("verbose_contribution",
+     lambda n: verbose_contribution(_edgeless(n), tuple(range(n))),
+     MAX_VERBOSE_N, MAX_VERBOSE_N, MAX_GRAPH_N),
+]
+
+
+@pytest.mark.parametrize(
+    "call,inside,bound,huge", [row[1:] for row in BOUNDS], ids=[row[0] for row in BOUNDS]
+)
+def test_bound_answers_inside_and_refuses_past_it(call, inside, bound, huge):
+    assert inside <= bound < huge
+    call(inside)
+    for value in (bound + 1, huge):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError):
+            call(value)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_a_graph_past_the_bound_is_refused_while_parsing():
+    # the component walk would be quadratic in n: refused before any edge
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="parse_graph"):
+        connected_partition(parse_graph("100000:0-1").as_graph())
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_refuses_a_graph_past_the_bound(capsys):
+    start = time.perf_counter()
+    assert main(["edgeflag", "--graph", "3000000:0-1"]) == 2
+    assert "size limit" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
