@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on usage errors (including bad graph text),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from .flagvectors import (
     concise_flag_vector,
     edge_flag_vector,
     subgraph_flag_vector,
+    total_flag_vector,
     total_word_coefficient,
     verbose_flag_vector,
 )
@@ -237,11 +239,9 @@ def _cmd_average(args):
             "mean": str(mean),
         }
         return lines, payload
-    rows = []
-    for mask in range(2**n):
-        word = "".join("b" if mask >> (n - 1 - k) & 1 else "a" for k in range(n))
-        rows.append((word, total_word_coefficient(n, word)))
-    rows.sort()
+    totals = total_flag_vector(n)
+    words = ("".join(letters) for letters in itertools.product("ab", repeat=n))
+    rows = [(w, totals[w]) for w in words]  # every word, zeros too, sorted
     lines = [f"{w} {t} {Fraction(t, count)}" for w, t in rows]
     payload = {
         "n": n,

@@ -27,13 +27,14 @@ from .graphs import (
     expand,
     neighbor_masks,
 )
-from .partitions import Partition, enumerate_partitions, multinomial
-from .vectors import ConciseVector, EdgeWordVector, VerboseVector
+from .partitions import Partition, enumerate_partitions, multinomial, partition_count
+from .vectors import ConciseVector, EdgeWordVector, VerboseVector, add_letter_product
 
 MAX_VERBOSE_N = 12  # whole graph for verbose, each component for concise
 MAX_TOTAL_N = 20
 MAX_BASIS_N = 8
 MAX_EDGE_FLAG_EDGES = 7
+MAX_PRODUCT_WORK = 2**25  # concise part-union product, see _check_product_work
 
 GraphLike = Graph | OptionalGraph | GraphSum
 Masks = tuple[int, ...]  # per-vertex neighbour bitmasks
@@ -168,10 +169,31 @@ def _partition(parts: tuple[int, ...]) -> Partition:
     return Partition(parts)
 
 
+def _check_product_work(sizes: list[int]) -> None:
+    """Refuse a part-union product over components of these sizes (none of
+    size 1) whose work bound passes MAX_PRODUCT_WORK.
+
+    A key of the product is the multiset of the partitions its components
+    gave, so after the first j components, k_s of them of size s, there are
+    at most K_j = prod over s of C(k_s + p(s) - 1, k_s) keys, each a sorted
+    tuple of at most n_j parts, n_j the vertices of those components.  The
+    work bound is the sum over j of K_j n_j.
+    """
+    seen: dict[int, int] = {}
+    keys, vertices, work = 1, 0, 0
+    for s in sizes:
+        k = seen[s] = seen.get(s, 0) + 1
+        keys = keys * (k + partition_count(s) - 1) // k  # C(k+p-1, k) from k-1
+        vertices += s
+        work += keys * vertices
+    check_size(work, MAX_PRODUCT_WORK, "concise_flag_vector", "component product work")
+
+
 def _concise_term(reg: Masks, opt: Masks) -> dict[Partition, int]:
     comps = component_masks([r | o for r, o in zip(reg, opt)])
     big = max((c.bit_count() for c in comps), default=0)
     check_size(big, MAX_VERBOSE_N, "concise_flag_vector", "component size")
+    _check_product_work([c.bit_count() for c in comps if c & (c - 1)])
     coeffs: dict[tuple[int, ...], int] = {(): 1}
     ones = 0  # an isolated vertex only adds the part 1
     for comp in comps:
@@ -197,7 +219,8 @@ def concise_flag_vector(g: GraphLike) -> ConciseVector:
     factor over connected components, so each component (at most
     MAX_VERBOSE_N vertices, regular and optional edges alike) is inverted
     from its own verbose recursion and the products of their coefficients
-    are filed under the unions of their parts.
+    are filed under the unions of their parts; a product past
+    _check_product_work's bound is refused before any recursion.
     """
     total: dict[Partition, int] = {}
     for reg, opt, coeff in _terms(g):
@@ -360,21 +383,18 @@ def complement_transform(v: VerboseVector) -> VerboseVector:
     check_size(n, MAX_VERBOSE_N, "complement_transform")  # a^n expands to 2^(n-1) words
     total: dict[str, int] = {}
     for word, coeff in v.items():
-        acc = {"": coeff}
-        for k, letter in enumerate(word):
-            i = n - k
-            nxt: dict[str, int] = {}
-            for w, c in acc.items():
-                if letter == "a":
-                    nxt[w + "a"] = nxt.get(w + "a", 0) + c
-                    if i > 1:
-                        nxt[w + "b"] = nxt.get(w + "b", 0) + c * (i - 1)
-                else:
-                    nxt[w + "b"] = nxt.get(w + "b", 0) - c
-            acc = nxt
-        for w, c in acc.items():
-            total[w] = total.get(w, 0) + c
+        factors = (
+            {"a": 1, "b": n - 1 - k} if letter == "a" else {"b": -1}
+            for k, letter in enumerate(word)
+        )
+        add_letter_product(total, coeff, factors)
     return VerboseVector._raw(n, total)
+
+
+def _total_factor(i: int) -> dict[str, int]:
+    # the letter weights at right-to-left position i >= 1 of a total word:
+    # 2^(i-1) and (i-1) 2^(i-2), the latter 0, not 0.0, at i = 1
+    return {"a": 2 ** (i - 1), "b": (i - 1) * 2**i // 4}
 
 
 def total_word_coefficient(n: int, word: str) -> int:
@@ -386,14 +406,8 @@ def total_word_coefficient(n: int, word: str) -> int:
     check_size(n, MAX_TOTAL_N, "total_word_coefficient")  # about n^2 / 2 bits
     if len(word) != n or any(ch not in "ab" for ch in word):
         raise ValueError(f"word {word!r} must have length {n} over letters a,b")
-    out = math.factorial(n)
-    for k, letter in enumerate(word):
-        i = n - k
-        if letter == "a":
-            out *= 2 ** (i - 1)
-        else:
-            out *= 0 if i == 1 else (i - 1) * 2 ** (i - 2)
-    return out
+    weights = (_total_factor(n - k)[letter] for k, letter in enumerate(word))
+    return math.factorial(n) * math.prod(weights)
 
 
 def total_flag_vector(n: int) -> VerboseVector:
@@ -401,13 +415,8 @@ def total_flag_vector(n: int) -> VerboseVector:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     check_size(n, MAX_TOTAL_N, "total_flag_vector")
-    coeffs: dict[str, int] = {}
-    for letters in itertools.product("ab", repeat=n):
-        w = "".join(letters)
-        c = total_word_coefficient(n, w)
-        if c:
-            coeffs[w] = c
-    return VerboseVector._raw(n, coeffs)
+    factors = (_total_factor(i) for i in range(n, 0, -1))
+    return VerboseVector._raw(n, add_letter_product({}, math.factorial(n), factors))
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +475,11 @@ def edge_flag_vector(g: Graph) -> EdgeWordVector:
     total: dict[str, int] = {}
     for order in itertools.permutations(edges):
         deg = list(base_deg)
-        acc = {"": 1}
+        factors = []
         for u, w in order:
             lo, hi = sorted((deg[u], deg[w]))
-            nxt: dict[str, int] = {}
-            for word, c in acc.items():
-                nxt[word + "a"] = c
-                if lo > 1:
-                    nxt[word + "b"] = c * (lo - 1)
-                if hi > lo:
-                    nxt[word + "c"] = c * (hi - lo)
-            acc = nxt
+            factors.append({"a": 1, "b": lo - 1, "c": hi - lo})
             deg[u] -= 1
             deg[w] -= 1
-        for word, c in acc.items():
-            total[word] = total.get(word, 0) + c
+        add_letter_product(total, 1, factors)
     return EdgeWordVector._raw(len(edges), total)

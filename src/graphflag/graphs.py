@@ -55,7 +55,9 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@lru_cache(maxsize=None)
+# the most recent n, enough for every n a canonical form takes (n = 256 alone
+# has 32,640 pairs)
+@lru_cache(maxsize=MAX_CANONICAL_N + 1)
 def pair_order(n: int) -> tuple[Edge, ...]:
     """All vertex pairs (i, j) with i < j, in the fixed lexicographic order."""
     check_size(n, MAX_PAIR_ORDER_N, "pair_order")
@@ -76,7 +78,7 @@ def _check_edges(n: int, edges: frozenset) -> None:
         if (
             not isinstance(e, tuple)
             or len(e) != 2
-            or not all(isinstance(v, int) for v in e)
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
         ):
             raise ValueError(f"edge {e!r} is not a pair of ints")
         i, j = e
@@ -92,7 +94,7 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {self.n!r}")
         check_size(self.n, MAX_GRAPH_N, "Graph")
         if not isinstance(self.edges, frozenset):
@@ -160,7 +162,7 @@ class OptionalGraph:
     optional: frozenset
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {self.n!r}")
         check_size(self.n, MAX_GRAPH_N, "OptionalGraph")
         for name in ("regular", "optional"):

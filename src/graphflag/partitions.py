@@ -26,7 +26,9 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(not isinstance(p, int) or p <= 0 for p in self.parts):
+        if any(
+            not isinstance(p, int) or isinstance(p, bool) or p <= 0 for p in self.parts
+        ):
             raise ValueError(f"parts must be positive integers: {self.parts!r}")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"parts must be non-increasing: {self.parts!r}")

@@ -7,13 +7,14 @@ first removed vertex first.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
 from .errors import check_size
 from .flagvectors import MAX_VERBOSE_N
 from .graphs import Graph, bit_indices, component_masks
-from .vectors import VerboseVector
+from .vectors import VerboseVector, add_letter_product
 
 Shelling = tuple[int, ...]
 
@@ -27,6 +28,23 @@ def enumerate_shellings(g: Graph) -> Iterator[Shelling]:
     return itertools.permutations(range(g.n))
 
 
+def _peel_count(masks: tuple[int, ...], remaining: int, stop: int) -> int:
+    """Orders that remove the vertices of `remaining` until `stop` are left,
+    each with at most one edge into the vertices still there."""
+
+    @functools.cache
+    def count(rem: int) -> int:
+        if rem.bit_count() == stop:
+            return 1
+        return sum(
+            count(rem ^ (1 << v))
+            for v in bit_indices(rem)
+            if (masks[v] & rem).bit_count() <= 1
+        )
+
+    return count(remaining)
+
+
 def acyclic_shelling_number(g: Graph) -> int:
     """Number of removal orders that take out at most one edge per step.
 
@@ -35,41 +53,7 @@ def acyclic_shelling_number(g: Graph) -> int:
     search over residual vertex sets, memoised per set.
     """
     check_size(g.n, MAX_SHELLING_N, "acyclic_shelling_number")
-    masks = g.neighbor_masks()
-    memo = {0: 1}
-
-    def count(remaining: int) -> int:
-        got = memo.get(remaining)
-        if got is not None:
-            return got
-        total = 0
-        for v in bit_indices(remaining):
-            if (masks[v] & remaining).bit_count() <= 1:
-                total += count(remaining ^ (1 << v))
-        memo[remaining] = total
-        return total
-
-    return count((1 << g.n) - 1)
-
-
-def _leaf_sequence_count(comp: int, masks: tuple[int, ...]) -> int:
-    # ways to shrink a tree component to 3 vertices by repeated leaf removal
-    memo: dict[int, int] = {}
-
-    def count(rem: int, size: int) -> int:
-        if size == 3:
-            return 1
-        got = memo.get(rem)
-        if got is not None:
-            return got
-        total = 0
-        for v in bit_indices(rem):
-            if (masks[v] & rem).bit_count() == 1:
-                total += count(rem ^ (1 << v), size - 1)
-        memo[rem] = total
-        return total
-
-    return count(comp, comp.bit_count())
+    return _peel_count(g.neighbor_masks(), (1 << g.n) - 1, 0)
 
 
 def tree_shelling_number(g: Graph) -> int:
@@ -88,7 +72,9 @@ def tree_shelling_number(g: Graph) -> int:
         if size <= 3:
             continue
         check_size(size, MAX_TREE_COMPONENT, "tree_shelling_number", "tree component size")
-        total *= _leaf_sequence_count(comp, masks)
+        # until 3 are left the rest is a tree of 4 or more vertices, whose
+        # vertices with at most one edge are its leaves
+        total *= _peel_count(masks, comp, 3)
     return total
 
 
@@ -104,17 +90,11 @@ def verbose_contribution(g: Graph, order: Shelling) -> VerboseVector:
         raise ValueError(f"{order!r} is not a permutation of 0..{g.n - 1}")
     masks = g.neighbor_masks()
     remaining = (1 << g.n) - 1
-    acc = {"": 1}
+    factors = []
     for v in order:
         remaining ^= 1 << v
-        m = (masks[v] & remaining).bit_count()
-        nxt = {}
-        for w, c in acc.items():
-            nxt[w + "a"] = c
-            if m:
-                nxt[w + "b"] = c * m
-        acc = nxt
-    return VerboseVector._raw(g.n, acc)
+        factors.append({"a": 1, "b": (masks[v] & remaining).bit_count()})
+    return VerboseVector._raw(g.n, add_letter_product({}, 1, factors))
 
 
 def count_semiconcise_flags(g: Graph, word: str) -> int:
@@ -142,33 +122,23 @@ def count_semiconcise_flags(g: Graph, word: str) -> int:
     segments.append(run)
 
     masks = g.neighbor_masks()
-    memo: dict[tuple[int, int], int] = {}
 
+    @functools.cache
     def place(remaining: int, idx: int) -> int:
         if idx == len(segments):
             return 1
-        key = (remaining, idx)
-        got = memo.get(key)
-        if got is not None:
-            return got
         seg = segments[idx]
-        total = 0
         if seg >= 0:
-            if seg == 0:
-                total = place(remaining, idx + 1)
-            else:
-                for pick in itertools.combinations(list(bit_indices(remaining)), seg):
-                    rem = remaining
-                    for v in pick:
-                        rem ^= 1 << v
-                    total += place(rem, idx + 1)
-        else:
-            for v in bit_indices(remaining):
-                rem = remaining ^ (1 << v)
-                ways = (masks[v] & rem).bit_count()
-                if ways:
-                    total += ways * place(rem, idx + 1)
-        memo[key] = total
+            return sum(
+                place(remaining ^ sum(1 << v for v in pick), idx + 1)
+                for pick in itertools.combinations(bit_indices(remaining), seg)
+            )
+        total = 0
+        for v in bit_indices(remaining):
+            rem = remaining ^ (1 << v)
+            ways = (masks[v] & rem).bit_count()
+            if ways:  # a b-vertex with no edge ahead places nothing
+                total += ways * place(rem, idx + 1)
         return total
 
     return place((1 << g.n) - 1, 0)

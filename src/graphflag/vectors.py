@@ -10,6 +10,7 @@ and one size `n`.  Zero coefficients are never stored.
 from __future__ import annotations
 
 import operator
+from typing import Iterable
 
 from .partitions import Partition
 
@@ -130,6 +131,24 @@ class _WordVector(_FormalVector):
                 f"key {word!r} is not a length-{self.n} word over {self.alphabet!r}"
             )
         return word
+
+
+def add_letter_product(
+    total: dict[str, int], coeff: int, factors: Iterable[dict[str, int]]
+) -> dict[str, int]:
+    """Add coeff times the product of per-position factors into total, and
+    return total.
+
+    Factor k maps each letter to its weight at position k, so the product
+    has one word per choice of a letter at every position, weighted by the
+    product of their weights; letters of weight zero are left out.
+    """
+    acc = {"": coeff}
+    for factor in factors:
+        acc = {w + ch: c * x for ch, x in factor.items() if x for w, c in acc.items()}
+    for w, c in acc.items():
+        total[w] = total.get(w, 0) + c
+    return total
 
 
 class VerboseVector(_WordVector):

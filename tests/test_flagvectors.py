@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -514,6 +516,33 @@ def test_edge_flag_is_isomorphism_invariant():
     g = _g(4, (0, 1), (1, 2), (2, 3))
     for perm in itertools.permutations(range(4)):
         assert edge_flag_vector(g.relabel(perm)) == edge_flag_vector(g)
+
+
+@functools.cache
+def _edge_words(edges: frozenset) -> dict:
+    # first removed edge e, with multiplicities lo <= hi counted among the
+    # edges still present, gives a, (lo - 1) b and (hi - lo) c before the
+    # words of the rest
+    if not edges:
+        return {"": 1}
+    out: dict = {}
+    for e in edges:
+        lo, hi = sorted(sum(v in f for f in edges) for v in e)
+        for w, c in _edge_words(edges - {e}).items():
+            for letter, x in (("a", 1), ("b", lo - 1), ("c", hi - lo)):
+                out[letter + w] = out.get(letter + w, 0) + x * c
+    return out
+
+
+def test_edge_flag_vector_matches_the_edge_recursion():
+    graphs = [g for n in range(6) for g in enumerate_graphs(n) if len(g.edges) <= 7]
+    rng = random.Random(20)
+    for _ in range(2):
+        n = rng.randint(6, 9)
+        graphs.append(Graph(n, frozenset(rng.sample(pair_order(n), 7))))
+    for g in graphs:
+        m = len(g.edges)
+        assert edge_flag_vector(g) == EdgeWordVector(m, _edge_words(g.edges)), g
 
 
 def test_edge_flag_size_limit():

@@ -444,6 +444,29 @@ def test_from_bitstring_checks_the_length_before_listing_pairs():
             Graph.from_bitstring(n, bits)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Graph(True, frozenset()),
+        lambda: Graph(3, frozenset({(False, True)})),
+        lambda: OptionalGraph(True, frozenset(), frozenset()),
+        lambda: OptionalGraph(3, frozenset({(0, True)}), frozenset()),
+        lambda: OptionalGraph(3, frozenset(), frozenset({(False, True)})),
+    ],
+    ids=["Graph n", "Graph edge", "OptionalGraph n", "regular edge", "optional edge"],
+)
+def test_a_bool_is_refused_where_a_vertex_int_is_meant(make):
+    # a bool compares as 0 or 1, but would be written as False or True
+    with pytest.raises(ValueError, match="int"):
+        make()
+
+
+def test_pair_order_keeps_a_bounded_cache():
+    for n in range(257):
+        Graph(n, frozenset()).serialize()
+    assert pair_order.cache_info().currsize <= graphs.MAX_CANONICAL_N + 1
+
+
 _NUMPY_PROBE = """
 import sys
 from graphflag import (

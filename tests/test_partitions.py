@@ -37,6 +37,13 @@ def test_partition_validation():
     assert Partition.from_sizes([1, 3, 2]).parts == (3, 2, 1)
 
 
+def test_partition_refuses_bool_parts():
+    # True == 1, but [True] is no partition text
+    for parts in ((True,), (2, True)):
+        with pytest.raises(ValueError, match="positive integers"):
+            Partition(parts)
+
+
 def test_bracket_text_round_trip():
     for text in ["[2+1+1]", "[4]", "[]", "[1+1]"]:
         assert Partition.from_text(text).to_text() == text

@@ -2,6 +2,7 @@
 just past it, and far past it, with SizeLimitError before any work."""
 
 import argparse
+import math
 import time
 
 import pytest
@@ -38,6 +39,7 @@ from graphflag import (
     scale_subgraph_to_concise,
     shuffle,
     span_dimension,
+    subgraph_flag_vector,
     total_flag_vector,
     total_word_coefficient,
     tree_shelling_number,
@@ -45,11 +47,13 @@ from graphflag import (
     verbose_flag_vector,
     verbose_from_concise,
 )
+from graphflag import flagvectors
 from graphflag.cli import _cmd_average, main
 from graphflag.errors import MAX_GRAPH_N
 from graphflag.flagvectors import (
     MAX_BASIS_N,
     MAX_EDGE_FLAG_EDGES,
+    MAX_PRODUCT_WORK,
     MAX_TOTAL_N,
     MAX_VERBOSE_N,
 )
@@ -82,6 +86,23 @@ def _optional8(k):
 # the most optional edges expand takes on 8 vertices: 8, as 2^8 8! <= 2^24
 _OPTIONAL8_K = max(k for k in range(29) if 2**k * 40320 <= MAX_EXPAND_WORK)
 
+
+def _cliques(k, m):
+    # k disjoint copies of K_m
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges = ((c * m + i, c * m + j) for c in range(k) for i, j in pairs)
+    return Graph(k * m, frozenset(edges))
+
+
+def _triangles_work(k):
+    # the concise product's work over k triangles: after j of them there are
+    # C(j + 2, 2) multisets of the p(3) = 3 partitions of 3, on 3 j vertices
+    return sum(math.comb(j + 2, 2) * 3 * j for j in range(1, k + 1))
+
+
+# the most disjoint triangles concise_flag_vector takes: 95
+_TRIANGLES_K = max(k for k in range(200) if _triangles_work(k) <= MAX_PRODUCT_WORK)
+
 # (name, call on one value, a cheap value inside the bound, bound, huge value)
 BOUNDS = [
     # the graph bound, checked where a graph is made
@@ -105,6 +126,8 @@ BOUNDS = [
      MAX_VERBOSE_N, MAX_VERBOSE_N, MAX_GRAPH_N),
     ("concise_flag_vector component", lambda n: concise_flag_vector(_path(n)),
      MAX_VERBOSE_N, MAX_VERBOSE_N, MAX_GRAPH_N),
+    ("concise_flag_vector product", lambda k: concise_flag_vector(_cliques(k, 3)),
+     80, _TRIANGLES_K, MAX_GRAPH_N // 3),
     ("shuffle", lambda n: shuffle(Partition((n,))), MAX_VERBOSE_N, MAX_VERBOSE_N, HUGE_N),
     ("verbose_from_concise",
      lambda n: verbose_from_concise(ConciseVector(n, {Partition((n,)): 1})),
@@ -182,4 +205,30 @@ def test_cli_refuses_a_graph_past_the_bound(capsys):
     start = time.perf_counter()
     assert main(["edgeflag", "--graph", "3000000:0-1"]) == 2
     assert "size limit" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_cliques(160, 3), _cliques(1000, 2), _cliques(9, 8), _cliques(6, 12)],
+    ids=["160 K3", "1000-edge matching", "9 K8", "6 K12"],
+)
+@pytest.mark.parametrize("form", [concise_flag_vector, subgraph_flag_vector])
+def test_a_long_component_product_is_refused_before_any_recursion(form, g, monkeypatch):
+    # unbounded, each of these ran for 17 s or more
+    def no_recursion(*args):
+        raise AssertionError("a component's recursion ran")
+
+    monkeypatch.setattr(flagvectors, "_verbose_dp", no_recursion)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="component product work"):
+        form(g)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_refuses_a_long_component_product(capsys):
+    start = time.perf_counter()
+    text = _cliques(6, 12).to_text()
+    assert main(["flagvec", "--form", "concise", "--graph", text]) == 2
+    assert "component product work" in capsys.readouterr().err
     assert time.perf_counter() - start < 1.0
