@@ -1,15 +1,17 @@
 """Exact rational linear algebra: rank, null spaces and LP feasibility.
 
-Inputs are ints or Fractions and results are Fractions, but the work is
-integer fraction-free elimination: a system is scaled once by one common
+Inputs are ints or Fractions and results are Fractions, but elimination
+is integer and fraction-free: a system is scaled once by one common
 denominator (`integer_rows`, which builds no Fraction for an int entry),
 and every routine is built on one Edmonds/Bareiss pivot step (`_step`),
-whose divisions are exact.  No floating point enters at any stage.
+whose divisions are exact; `kernel_basis` then back-substitutes in
+Fractions.  No floating point enters at any stage.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -107,31 +109,19 @@ def rank(m: RationalMatrix) -> int:
 
 def kernel_basis(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Exact basis of the right null space, one vector per free column;
-    m . v = 0 for every vector."""
-    # fraction-free Gauss-Jordan: every pivot entry ends equal to the last
-    # pivot, so the rows over it are the unique reduced row echelon form
-    work = [list(row) for row in m._ints]
-    pivots: list[int] = []
-    prev = 1
-    for c in range(m.cols):
-        r = len(pivots)
-        if r == m.rows:
-            break
-        pivot = next((i for i in range(r, m.rows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(m.rows):
-            if i != r:
-                work[i] = _step(work[i], work[r], c, prev)
-        prev = work[r][c]
-        pivots.append(c)
+    m . v = 0 for every vector.  The echelon rows' lead columns are the
+    reduced row echelon pivots, so the basis is the one with 1 at its own
+    free column and 0 at the others; a kept row is zero in the lead columns
+    of the rows before it, so back-substitution runs last row first."""
+    echelon = EchelonRows()
+    for row in m._ints:
+        echelon.add(row)
     basis = []
-    for f in (c for c in range(m.cols) if c not in pivots):
+    for f in (c for c in range(m.cols) if c not in echelon._cols):
         vec = [Fraction(0)] * m.cols
         vec[f] = Fraction(1)
-        for k, p in enumerate(pivots):
-            vec[p] = Fraction(-work[k][f], prev)
+        for row, c in zip(reversed(echelon._rows), reversed(echelon._cols)):
+            vec[c] = -sum(map(operator.mul, row, vec)) / row[c]
         basis.append(tuple(vec))
     return tuple(basis)
 

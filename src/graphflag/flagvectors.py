@@ -44,7 +44,7 @@ def _terms(g: GraphLike) -> list[tuple[Masks, Masks, int]]:
     """Signed labelled terms as (regular masks, optional masks, coefficient);
     a GraphSum's keys are used as stored."""
     if isinstance(g, GraphSum):
-        terms = [(t.edges, (), c) for t, c in g.items()]
+        terms = [(t.edges, (), c) for t, c in g._coeffs.items()]
     elif isinstance(g, OptionalGraph):
         terms = [(g.regular, g.optional, 1)]
     elif isinstance(g, Graph):
@@ -204,7 +204,7 @@ def _concise_term(reg: Masks, opt: Masks) -> dict[Partition, int]:
         vec = concise_from_verbose(verbose)
         product: dict[tuple[int, ...], int] = {}
         for parts, c in coeffs.items():
-            for part, d in vec.items():
+            for part, d in vec._coeffs.items():
                 key = tuple(sorted(parts + part.parts, reverse=True))
                 product[key] = product.get(key, 0) + c * d
         coeffs = product
@@ -236,8 +236,8 @@ def subgraph_flag_vector(g: GraphLike) -> ConciseVector:
     vertex set) times the partition of component sizes.  Computed as the
     inverse of scale_subgraph_to_concise applied to the concise form.
     """
-    concise = concise_flag_vector(g)
-    n = concise.n
+    n = g.n
+    concise = concise_flag_vector(g)._coeffs
     scaled = {p: c * multinomial(n, p.parts) * _part_scale(p) for p, c in concise.items()}
     return ConciseVector._raw(n, scaled)
 
@@ -304,9 +304,9 @@ def verbose_from_concise(v: ConciseVector) -> VerboseVector:
     """
     check_size(v.n, MAX_VERBOSE_N, "verbose_from_concise")
     total: dict[str, int] = {}
-    for part, c in v.items():
+    for part, c in v._coeffs.items():
         scale = c * _part_scale(part)
-        for w, k in shuffle(part).items():
+        for w, k in shuffle(part)._coeffs.items():
             total[w] = total.get(w, 0) + scale * k
     return VerboseVector._raw(v.n, total)
 
@@ -382,7 +382,7 @@ def complement_transform(v: VerboseVector) -> VerboseVector:
     n = v.n
     check_size(n, MAX_VERBOSE_N, "complement_transform")  # a^n expands to 2^(n-1) words
     total: dict[str, int] = {}
-    for word, coeff in v.items():
+    for word, coeff in v._coeffs.items():
         factors = (
             {"a": 1, "b": n - 1 - k} if letter == "a" else {"b": -1}
             for k, letter in enumerate(word)

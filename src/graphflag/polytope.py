@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .errors import check_size
-from .exactlin import EchelonRows, RationalMatrix, integer_rows, lp_feasible
+from .exactlin import EchelonRows, RationalMatrix, integer_rows, lp_feasible, rank
 from .flagvectors import concise_flag_vector
 from .graphs import Graph, bit_indices, connected_partition, enumerate_graphs
 from .partitions import enumerate_partitions
@@ -25,6 +25,7 @@ MAX_SPAN_N = 7  # span_dimension and nullspace_report
 MAX_HULL_N = 6
 MAX_FACET_POINTS = 40
 MAX_FACET_DIM = 11
+MAX_FACET_RAYS = 2**15  # rays of any double-description step
 
 FacetInequality = tuple[tuple[int, ...], int]  # coefficients, offset
 
@@ -55,12 +56,7 @@ def _class_vectors(n: int) -> tuple[ConciseVector, ...]:
 def span_dimension(n: int) -> int:
     """Rank of the matrix of concise flag vectors over all n-vertex classes."""
     check_size(n, MAX_SPAN_N, "span_dimension")
-    echelon = EchelonRows()
-    for _, coords in class_concise_points(n):
-        if echelon.rank == len(coords):  # full column rank
-            break
-        echelon.add(coords)
-    return echelon.rank
+    return rank(RationalMatrix(coords for _, coords in class_concise_points(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,25 +135,21 @@ def _vertex_flags(
     """Exact vertex verdict for each of distinct integer points.
 
     `incidence` (optional) lists facets of their hull, each with the bitmask
-    of the points tight on it (bit i for points[i]).  Point i is then first
-    offered the sum of the facets tight on it: if that integer functional is
-    0 at the point and positive at every other point, the point is its
-    unique minimiser, so a vertex.  Otherwise, and without incidence, the
-    exact LP decides: a vertex iff it is no convex combination of the others.
+    of the points tight on it (bit i for points[i]).  Point i is a vertex if
+    the AND of the masks of the facets through it (all points, if none) is
+    its own bit: the sum of those facets is then 0 at it and positive at
+    every other point.  Every other point, and every point without
+    incidence, goes to the exact LP: a vertex iff it is no convex
+    combination of the others.
     """
     flags = []
     for i, p in enumerate(points):
-        others = points[:i] + points[i + 1 :]
         if incidence is not None:
-            tight = [f for f, mask in incidence if mask >> i & 1]
-            coeffs = [sum(col) for col in zip(*(c for c, _ in tight))] or [0] * len(p)
-            offset = sum(o for _, o in tight)
-            if _dot(coeffs, p) + offset == 0 and all(
-                _dot(coeffs, q) + offset > 0 for q in others
-            ):
+            through = (mask for _, mask in incidence if mask >> i & 1)
+            if reduce(operator.and_, through, (1 << len(points)) - 1) == 1 << i:
                 flags.append(True)
                 continue
-        flags.append(not _in_convex_hull(p, others))
+        flags.append(not _in_convex_hull(p, points[:i] + points[i + 1 :]))
     return flags
 
 
@@ -166,25 +158,19 @@ def hull_report(n: int, include_facets: bool = False) -> HullReport:
 
     Without facets, a point is a vertex iff the exact LP finds the
     convex-combination system over the other distinct points infeasible.
-    With facets, computed first, a vertex is certified by an integer
-    functional built from the facets through it, and only a point that
-    fails that check goes to the LP.  Duplicated points (if any) share a
-    verdict; distinctness is reported alongside.
+    With facets, computed first, a vertex is certified by the tight sets of
+    the facets through it, and only a point they do not certify goes to
+    the LP.  Duplicated points (if any) share a verdict; distinctness is
+    reported alongside.
     """
     check_size(n, MAX_HULL_N, "hull_report")
     pts = class_concise_points(n)
-    groups: dict[tuple[int, ...], list[Graph]] = {}
-    for g, coords in pts:
-        groups.setdefault(coords, []).append(g)
-    unique = list(groups)
+    unique = list(dict.fromkeys(coords for _, coords in pts))
     incidence = _facet_incidence(unique) if include_facets else None
-    flags: dict[Graph, bool] = {}
-    for coords, is_vertex in zip(unique, _vertex_flags(unique, incidence)):
-        for g in groups[coords]:
-            flags[g] = is_vertex
+    verdicts = dict(zip(unique, _vertex_flags(unique, incidence)))
     points = {g: vec for (g, _), vec in zip(pts, _class_vectors(n))}
     facets = None if incidence is None else tuple(f for f, _ in incidence)
-    return HullReport(n, points, {g: flags[g] for g in points}, facets)
+    return HullReport(n, points, {g: verdicts[c] for g, c in pts}, facets)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +275,9 @@ def _double_description(constraints: list[tuple[int, ...]]) -> list[tuple[int, .
                     )
                     new_rays.append(_primitive(w))
                     new_masks.append(common | bit)
+                check_size(
+                    len(new_rays), MAX_FACET_RAYS, "hull_facets", "double-description rays"
+                )
         rays, masks = new_rays, new_masks
     return rays
 

@@ -102,6 +102,9 @@ def test_kernel_examples():
     assert len(basis) == 1
     v = basis[0]
     assert v[0] == v[1] != 0
+    # the kept rows lead in column 1, then in column 0
+    basis = kernel_basis(_m([[0, 1, 2, 3], [1, 0, 1, 1]]))
+    assert basis == ((-1, -2, 1, 0), (-1, -3, 0, 1))
 
 
 def test_kernel_vectors_annihilate():

@@ -353,6 +353,17 @@ def test_both_hull_modes_give_equal_vertex_flags(n):
     assert with_facets.points == by_lp.points
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_facet_mode_certifies_every_vertex_without_the_lp(n, monkeypatch):
+    # every class point with n <= 5 is a vertex, and the tight sets of the
+    # facets through it meet in it alone
+    def no_lp(*args):
+        raise AssertionError("the exact LP ran")
+
+    monkeypatch.setattr(polytope, "_in_convex_hull", no_lp)
+    assert all(hull_report(n, include_facets=True).vertex_flags.values())
+
+
 @st.composite
 def points_with_midpoints(draw):
     """Distinct integer points in dimension 2 or 3: corners, some midpoints

@@ -47,7 +47,7 @@ from graphflag import (
     verbose_flag_vector,
     verbose_from_concise,
 )
-from graphflag import flagvectors
+from graphflag import flagvectors, polytope
 from graphflag.cli import _cmd_average, main
 from graphflag.errors import MAX_GRAPH_N
 from graphflag.flagvectors import (
@@ -232,3 +232,28 @@ def test_cli_refuses_a_long_component_product(capsys):
     assert main(["flagvec", "--form", "concise", "--graph", text]) == 2
     assert "component product work" in capsys.readouterr().err
     assert time.perf_counter() - start < 1.0
+
+
+def _moment_curve(k):
+    # k points (t, t^2, ..., t^11): a cyclic polytope, with the most facets
+    # k points in the largest dimension allow
+    return [tuple(t**e for e in range(1, MAX_FACET_DIM + 1)) for t in range(k)]
+
+
+@pytest.mark.parametrize("cap", [4004, 4003])
+def test_hull_facets_answers_up_to_its_ray_cap_and_refuses_past_it(cap, monkeypatch):
+    # 20 points peak at their 4,004 facets
+    monkeypatch.setattr(polytope, "MAX_FACET_RAYS", cap)
+    if cap >= 4004:
+        assert len(hull_facets(_moment_curve(20))) == 4004
+    else:
+        with pytest.raises(SizeLimitError, match="double-description rays"):
+            hull_facets(_moment_curve(20))
+
+
+def test_hull_facets_refuses_thirty_moment_curve_points_by_its_ray_cap():
+    # unbounded, they gave 85,008 facets in 47 s at about 200 MiB
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="double-description rays"):
+        hull_facets(_moment_curve(30))
+    assert time.perf_counter() - start < 10.0
