@@ -1,14 +1,14 @@
 """The flag vector of a graph in verbose, concise and subgraph forms.
 
-The verbose form comes from one recursion over labelled vertex subsets,
+One pass serves every form: a recursion over labelled vertex subsets,
 f(S) = sum over v in S of w_S(v) f(S - v), with optional edges folded into
-the step weight, so no canonical form is searched.  The concise form is
-multiplicative over connected components, so it is the part-union product
-of each component's recursion, peeled into concise form in anchor-word
-order; the subgraph form rescales it coordinatewise.  Also the complement transform, the
-total over all labelled graphs, basis sums for partitions, anchor words and
-the edge-removal word vector.  All inputs may be ordinary graphs,
-optional-edge graphs or formal graph sums (extended linearly).
+the step weight, runs on each connected component, so no canonical form is
+searched.  The flag vector is multiplicative over components: concise is
+the part-union product of their recursions, each peeled in anchor-word
+order, subgraph rescales it, and verbose is a connected term's recursion
+or else the shuffle expansion of the product.  Also the complement
+transform, totals, basis sums, anchor words and the edge-removal word
+vector.  Inputs may be graphs, optional-edge graphs or graph sums.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import MAX_GRAPH_N, check_size
 from .graphs import (
@@ -30,7 +31,7 @@ from .graphs import (
 from .partitions import Partition, enumerate_partitions, multinomial, partition_count
 from .vectors import ConciseVector, EdgeWordVector, VerboseVector, add_letter_product
 
-MAX_VERBOSE_N = 12  # whole graph for verbose, each component for concise
+MAX_VERBOSE_N = 12  # each component's recursion, and the 2^n words of verbose
 MAX_TOTAL_N = 20
 MAX_BASIS_N = 8
 MAX_EDGE_FLAG_EDGES = 7
@@ -40,18 +41,26 @@ GraphLike = Graph | OptionalGraph | GraphSum
 Masks = tuple[int, ...]  # per-vertex neighbour bitmasks
 
 
-def _terms(g: GraphLike) -> list[tuple[Masks, Masks, int]]:
-    """Signed labelled terms as (regular masks, optional masks, coefficient);
-    a GraphSum's keys are used as stored."""
+def _terms(g: GraphLike) -> Iterator[tuple[int, list[VerboseVector], int]]:
+    """(coefficient, recursion of each component of 2 or more vertices, number
+    of isolated vertices) per signed labelled term; GraphSum keys as stored."""
     if isinstance(g, GraphSum):
-        terms = [(t.edges, (), c) for t, c in g._coeffs.items()]
+        terms = [(t.edges, frozenset(), c) for t, c in g._coeffs.items()]
     elif isinstance(g, OptionalGraph):
         terms = [(g.regular, g.optional, 1)]
     elif isinstance(g, Graph):
-        terms = [(g.edges, (), 1)]
+        terms = [(g.edges, frozenset(), 1)]
     else:
         raise TypeError(f"expected Graph, OptionalGraph or GraphSum, got {g!r}")
-    return [(neighbor_masks(g.n, r), neighbor_masks(g.n, o), c) for r, o, c in terms]
+    for r, o, coeff in terms:
+        reg, opt = neighbor_masks(g.n, r), neighbor_masks(g.n, o)
+        comps = [c for c in component_masks(neighbor_masks(g.n, r | o)) if c & (c - 1)]
+        sizes = [c.bit_count() for c in comps]
+        big = max(sizes, default=0)
+        check_size(big, MAX_VERBOSE_N, "concise_flag_vector", "component size")
+        _check_product_work(sizes)
+        vectors = [_verbose_dp(_restrict(reg, c), _restrict(opt, c)) for c in comps]
+        yield coeff, vectors, g.n - sum(sizes)
 
 
 def component_scale(size: int) -> int:
@@ -143,14 +152,16 @@ def _verbose_dp(reg: Masks, opt: Masks) -> VerboseVector:
 def verbose_flag_vector(g: GraphLike) -> VerboseVector:
     """Word-indexed flag vector of a graph, optional graph or graph sum.
 
-    The vertex-subset recursion f(S) = sum over v in S of (a + deg_S(v) b)
-    f(S - v) on each labelled term, with optional edges folded into the
-    step weight.
+    A connected term's vector is its recursion's output as it is; any other
+    term's is verbose_from_concise of its part-union product, the shuffle of
+    its components' vectors.
     """
     check_size(g.n, MAX_VERBOSE_N, "verbose_flag_vector")
     total = VerboseVector(g.n)
-    for reg, opt, coeff in _terms(g):
-        total += coeff * _verbose_dp(reg, opt)
+    for coeff, vectors, ones in _terms(g):
+        if ones or len(vectors) != 1:  # not connected: shuffle the components
+            vectors = [verbose_from_concise(_concise_term(g.n, vectors, ones))]
+        total += coeff * vectors[0]
     return total
 
 
@@ -159,6 +170,8 @@ def verbose_flag_vector(g: GraphLike) -> VerboseVector:
 
 def _restrict(masks: Masks, comp: int) -> Masks:
     # the masks of the vertices of a component, relabelled to 0..k-1 in order
+    if comp == (1 << len(masks)) - 1:
+        return masks  # every vertex: nothing to relabel
     index = {v: 1 << k for k, v in enumerate(bit_indices(comp))}
     return tuple(sum(index[u] for u in bit_indices(masks[v])) for v in index)
 
@@ -189,26 +202,18 @@ def _check_product_work(sizes: list[int]) -> None:
     check_size(work, MAX_PRODUCT_WORK, "concise_flag_vector", "component product work")
 
 
-def _concise_term(reg: Masks, opt: Masks) -> dict[Partition, int]:
-    comps = component_masks([r | o for r, o in zip(reg, opt)])
-    big = max((c.bit_count() for c in comps), default=0)
-    check_size(big, MAX_VERBOSE_N, "concise_flag_vector", "component size")
-    _check_product_work([c.bit_count() for c in comps if c & (c - 1)])
-    coeffs: dict[tuple[int, ...], int] = {(): 1}
-    ones = 0  # an isolated vertex only adds the part 1
-    for comp in comps:
-        if comp & (comp - 1) == 0:
-            ones += 1
-            continue
-        verbose = _verbose_dp(_restrict(reg, comp), _restrict(opt, comp))
-        vec = concise_from_verbose(verbose)
+def _concise_term(n: int, vectors: list[VerboseVector], ones: int) -> ConciseVector:
+    # the part-union product of the components' concise forms and one part 1
+    # per isolated vertex
+    coeffs: dict[tuple[int, ...], int] = {(1,) * ones: 1}
+    for vec in map(concise_from_verbose, vectors):
         product: dict[tuple[int, ...], int] = {}
         for parts, c in coeffs.items():
             for part, d in vec._coeffs.items():
                 key = tuple(sorted(parts + part.parts, reverse=True))
                 product[key] = product.get(key, 0) + c * d
         coeffs = product
-    return {_partition(parts + (1,) * ones): c for parts, c in coeffs.items()}
+    return ConciseVector._raw(n, {_partition(p): c for p, c in coeffs.items()})
 
 
 def concise_flag_vector(g: GraphLike) -> ConciseVector:
@@ -223,8 +228,8 @@ def concise_flag_vector(g: GraphLike) -> ConciseVector:
     _check_product_work's bound is refused before any recursion.
     """
     total: dict[Partition, int] = {}
-    for reg, opt, coeff in _terms(g):
-        for part, c in _concise_term(reg, opt).items():
+    for coeff, vectors, ones in _terms(g):
+        for part, c in _concise_term(g.n, vectors, ones)._coeffs.items():
             total[part] = total.get(part, 0) + coeff * c
     return ConciseVector._raw(g.n, total)
 

@@ -486,12 +486,10 @@ class GraphSum(_FormalVector):
 
     def disjoint_union(self, other: "GraphSum") -> "GraphSum":
         """Bilinear extension of the disjoint union of graphs."""
-        out: dict[Graph, int] = {}
-        for g, cg in self._coeffs.items():
-            for h, ch in other._coeffs.items():
-                can, _ = canonical_form(g.disjoint_union(h))
-                out[can] = out.get(can, 0) + cg * ch
-        return GraphSum._raw(self.n + other.n, out)
+        return GraphSum(self.n + other.n, {
+            g.disjoint_union(h): cg * ch
+            for g, cg in self._coeffs.items() for h, ch in other._coeffs.items()
+        })
 
     def __repr__(self) -> str:
         body = ", ".join(f"{c}*{g.to_text()!r}" for g, c in self.items())
@@ -510,13 +508,10 @@ def expand(og: OptionalGraph) -> GraphSum:
     choices = sorted(og.optional)
     work = 2 ** len(choices) * math.factorial(og.n)
     check_size(work, MAX_EXPAND_WORK, "expand", "2^(optional edges) * n!")
-    raw: dict[Graph, int] = {}
-    for r in range(len(choices) + 1):
-        sign = (-1) ** (len(choices) - r)
-        for pick in itertools.combinations(choices, r):
-            g = Graph(og.n, og.regular | frozenset(pick))
-            raw[g] = raw.get(g, 0) + sign
-    return GraphSum(og.n, raw)
+    return GraphSum(og.n, {
+        Graph(og.n, og.regular | frozenset(pick)): (-1) ** (len(choices) - r)
+        for r in range(len(choices) + 1) for pick in itertools.combinations(choices, r)
+    })
 
 
 def complement(g: Graph) -> Graph:

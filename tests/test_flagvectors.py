@@ -11,6 +11,7 @@ from graphflag import (
     ConciseVector,
     Graph,
     GraphSum,
+    OptionalGraph,
     Partition,
     SizeLimitError,
     VerboseVector,
@@ -40,12 +41,15 @@ from graphflag import (
     verbose_flag_vector,
     verbose_from_concise,
 )
+from graphflag import flagvectors
 from graphflag.errors import MAX_GRAPH_N
 from graphflag.flagvectors import (
     MAX_TOTAL_N,
     MAX_VERBOSE_N,
     _anchor_system,
+    _verbose_dp,
 )
+from graphflag.graphs import component_masks, neighbor_masks
 from graphflag.selftest import _shelling_sum, _subgraph_sum
 from graphflag.vectors import EdgeWordVector
 
@@ -60,6 +64,21 @@ def _part(*sizes):
 
 def _cv(n, mapping):
     return ConciseVector(n, {Partition.from_sizes(k): v for k, v in mapping.items()})
+
+
+def _whole_dp(g):
+    # the recursion on the whole labelled graph, which never splits components
+    og = g if isinstance(g, OptionalGraph) else OptionalGraph.from_graph(g)
+    masks = neighbor_masks(og.n, og.regular), neighbor_masks(og.n, og.optional)
+    return _verbose_dp(*masks)
+
+
+def _union(*graphs):
+    return functools.reduce(Graph.disjoint_union, graphs)
+
+
+def _k(m):
+    return complement(_g(m))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +157,49 @@ def test_verbose_rejects_unknown_method():
     # one kernel: there is no method to choose
     with pytest.raises(TypeError):
         verbose_flag_vector(_g(2), "recursion")
+
+
+TWELVE_VERTEX_UNIONS = {
+    "4 K3": _union(*[_k(3)] * 4),
+    "6 K2": _union(*[_k(2)] * 6),
+    "3 K4": _union(*[_k(4)] * 3),
+    "K6 + K6": _union(_k(6), _k(6)),
+    "K8 + 4 K1": _union(_k(8), _g(4)),
+    "K11 + K1": _union(_k(11), _g(1)),
+    "K12": _k(12),
+    "optional K4 + P5 + K3": parse_graph(
+        "12:?0-1,0-2,0-3,1-2,1-3,?2-3,4-5,?5-6,6-7,?7-8,9-10,10-11,?9-11"
+    ),
+}
+
+SEVEN_CYCLE = parse_graph("7:0-1,1-2,2-3,3-4,4-5,5-6,0-6").as_graph()
+
+
+@pytest.mark.parametrize(
+    "g,calls",
+    [(SEVEN_CYCLE, 1), (TWELVE_VERTEX_UNIONS["4 K3"], 4)],
+    ids=["7-cycle", "4 K3"],
+)
+@pytest.mark.parametrize(
+    "form", [verbose_flag_vector, concise_flag_vector, subgraph_flag_vector]
+)
+def test_every_form_runs_the_recursion_once_per_component(form, g, calls, monkeypatch):
+    inputs = []
+
+    def recording(reg, opt):
+        inputs.append(component_masks([r | o for r, o in zip(reg, opt)]))
+        return _verbose_dp(reg, opt)
+
+    monkeypatch.setattr(flagvectors, "_verbose_dp", recording)
+    form(g)
+    assert len(inputs) == calls
+    assert all(len(comps) == 1 for comps in inputs)
+
+
+@pytest.mark.parametrize("g", TWELVE_VERTEX_UNIONS.values(), ids=TWELVE_VERTEX_UNIONS)
+def test_verbose_of_a_union_equals_the_whole_graph_recursion(g):
+    # verbose shuffles the components of a disconnected term together
+    assert verbose_flag_vector(g) == _whole_dp(g)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +374,7 @@ def test_verbose_from_concise_matches_direct_computation():
     for n in range(6):
         for g in enumerate_graphs(n):
             concise = _subgraph_sum(g, tree_shelling_number)
-            assert verbose_from_concise(concise) == verbose_flag_vector(g)
+            assert verbose_from_concise(concise) == _whole_dp(g)
 
 
 def test_concise_from_verbose_round_trips():
