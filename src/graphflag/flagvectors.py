@@ -3,20 +3,25 @@
 One pass serves every form: a recursion over labelled vertex subsets,
 f(S) = sum over v in S of w_S(v) f(S - v), with optional edges folded into
 the step weight, runs on each connected component, so no canonical form is
-searched.  The flag vector is multiplicative over components: concise is
-the part-union product of their recursions, each peeled in anchor-word
-order, subgraph rescales it, and verbose is a connected term's recursion
-or else the shuffle expansion of the product.  Also the complement
-transform, totals, basis sums, anchor words and the edge-removal word
-vector.  Inputs may be graphs, optional-edge graphs or graph sums.
+searched.  Its output is one packed integer: the verbose vector with every
+coefficient in a fixed-width slot.  The flag vector is multiplicative over
+components: concise is the part-union product of their peels (a triangular
+solve at the anchor slots, certified by re-expanding on packed integers),
+subgraph rescales it, and verbose is a connected term's recursion unpacked,
+or else the packed expansion of the product.  Both conversions read one
+table per order and slot width, every partition's shuffle packed.  Also the
+complement transform, totals, basis sums, anchor words and the
+edge-removal word vector.  Inputs may be graphs, optional-edge graphs or
+graph sums.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MAX_GRAPH_N, check_size
 from .graphs import (
@@ -39,11 +44,13 @@ MAX_PRODUCT_WORK = 2**25  # concise part-union product, see _check_product_work
 
 GraphLike = Graph | OptionalGraph | GraphSum
 Masks = tuple[int, ...]  # per-vertex neighbour bitmasks
+Packed = tuple[int, int, int]  # (order n, packed vector, slot bytes), see _unpack
 
 
-def _terms(g: GraphLike) -> Iterator[tuple[int, list[VerboseVector], int]]:
-    """(coefficient, recursion of each component of 2 or more vertices, number
-    of isolated vertices) per signed labelled term; GraphSum keys as stored."""
+def _terms(g: GraphLike) -> Iterator[tuple[int, list[Packed], int]]:
+    """(coefficient, packed recursion of each component of 2 or more
+    vertices, number of isolated vertices) per signed labelled term;
+    GraphSum keys as stored."""
     if isinstance(g, GraphSum):
         terms = [(t.edges, frozenset(), c) for t, c in g._coeffs.items()]
     elif isinstance(g, OptionalGraph):
@@ -59,8 +66,23 @@ def _terms(g: GraphLike) -> Iterator[tuple[int, list[VerboseVector], int]]:
         big = max(sizes, default=0)
         check_size(big, MAX_VERBOSE_N, "concise_flag_vector", "component size")
         _check_product_work(sizes)
-        vectors = [_verbose_dp(_restrict(reg, c), _restrict(opt, c)) for c in comps]
+        vectors = [_verbose_dp(*_restrict(reg, opt, c)) for c in comps]
         yield coeff, vectors, g.n - sum(sizes)
+
+
+def _sum(cls, n: int, terms: Iterable[tuple[int, dict]]):
+    """The cls-vector sum of coeff times each dict of nonzero coefficients,
+    which the caller hands over; a lone term is its own dict, not copied."""
+    total: dict = {}
+    count = 0
+    for coeff, coeffs in terms:
+        if not count:
+            total = coeffs if coeff == 1 else {k: coeff * c for k, c in coeffs.items()}
+        else:
+            for k, c in coeffs.items():
+                total[k] = total.get(k, 0) + coeff * c
+        count += 1
+    return cls._own(n, total) if count <= 1 else cls._raw(n, total)
 
 
 def component_scale(size: int) -> int:
@@ -75,36 +97,70 @@ def _part_scale(part: Partition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verbose form
+# packed vectors
+
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct's standard sizes
+_BITS = str.maketrans("ab", "01")
+
 
 @lru_cache(maxsize=MAX_VERBOSE_N + 1)
 def _words(n: int) -> tuple[str, ...]:
     # word w has letter b at position k iff bit n-1-k of w is set
-    return tuple(
-        "".join("ab"[w >> (n - 1 - k) & 1] for k in range(n)) for w in range(1 << n)
-    )
+    words = [""]
+    for _ in range(n):
+        words = [w + letter for w in words for letter in "ab"]
+    return tuple(words)
 
 
 def _slot_bytes(bound: int) -> int:
-    # whole bytes per packed slot holding values 0..bound
-    return (bound.bit_length() + 7) // 8
+    """Bytes per packed slot holding values 0..bound: the least of 1, 2, 4
+    and 8 that do, so one struct call reads every slot, else whole bytes."""
+    size = (bound.bit_length() + 7) // 8
+    return next((w for w in _FORMATS if w >= size), size)
+
+
+def _order_bytes(n: int) -> int:
+    # slots that hold any order-n recursion output, (n!)^2 at K_n (see
+    # _verbose_dp), and so every shuffle of order n
+    return _slot_bytes(math.factorial(n) ** 2)
 
 
 def _unpack(n: int, packed: int, width: int) -> dict[str, int]:
-    """The slots of a packed vector over the length-n words, zeros included.
+    """The nonzero coefficients of a packed vector over the length-n words.
 
-    Slot i, of `width` bytes from byte i * width, holds the non-negative
-    coefficient of word i of _words(n).
+    Slot i, the `width` bytes from byte i * width, little-endian, holds the
+    non-negative coefficient of word i of _words(n).
     """
     raw = packed.to_bytes(width << n, "little")
-    return {
-        w: int.from_bytes(raw[i * width : (i + 1) * width], "little")
-        for i, w in enumerate(_words(n))
-    }
+    if width in _FORMATS:
+        slots = struct.unpack(f"<{1 << n}{_FORMATS[width]}", raw)
+    else:
+        slots = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    return dict(zip(itertools.compress(_words(n), slots), filter(None, slots)))
 
 
-def _verbose_dp(reg: Masks, opt: Masks) -> VerboseVector:
-    """Verbose vector of one labelled optional graph, from its neighbour masks.
+def _read(n: int, packed: int, width: int, slots: list[int]) -> list[int]:
+    # the values of a few slots of a packed vector
+    raw = packed.to_bytes(width << n, "little")
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in slots]
+
+
+# ---------------------------------------------------------------------------
+# verbose form
+
+@lru_cache(maxsize=MAX_VERBOSE_N + 1)
+def _members(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # (vertex, its bit) for each member of each subset of range(n), by subset
+    table: list[tuple[tuple[int, int], ...]] = [()]
+    for v in range(n):
+        member = ((v, 1 << v),)
+        table += [t + member for t in table]
+    return tuple(table)
+
+
+def _verbose_dp(reg: Masks, opt: Masks) -> Packed:
+    """Packed verbose vector of one labelled optional graph, from its
+    neighbour masks.
 
     f(S) is the sum over v in S of w_S(v) f(S - v), the letter of v leading.
     Each optional edge is charged to the endpoint removed first, so the
@@ -117,24 +173,25 @@ def _verbose_dp(reg: Masks, opt: Masks) -> VerboseVector:
     bits, word i at bits [i W, (i + 1) W); the a-words fill the low half and
     the b-words the high half, so a step is a few big-integer additions.
     Every weight is non-negative, so no slot of f(S) exceeds T(S), the sum
-    of its coefficients.  The coefficients of w_S(v) sum to 1 + r <= 1 + d,
-    d the largest regular degree, or to 1 or 0, so T(S) <= |S| (1 + d)
-    max_v T(S - v), and from T({}) = 1 every T(S) <= n! (1 + d)^n (72 bits
-    at K12).  W is that bound's width rounded up to whole bytes, so no slot
-    carries into the next and f(full) unpacks bytewise.
+    of its coefficients.  The coefficients of w_S(v) sum to 1 + r, at most
+    1 + min(d, |S| - 1) for d the largest regular degree, or to 1 or 0, so
+    T(S) <= |S| (1 + min(d, |S| - 1)) max_v T(S - v).  From T({}) = 1, T of
+    the full set is at most the product over k = 1..n of k (1 + min(d,
+    k - 1)); K_n attains it, (n!)^2, 58 bits at K12.  W is that bound's
+    width rounded up to 1, 2, 4 or 8 bytes, so no slot carries into the
+    next and one struct call reads every slot of f(full).  The members of
+    each S come from a per-order table.
     """
     n = len(reg)
     d = max((m.bit_count() for m in reg), default=0)
-    width = _slot_bytes(math.factorial(n) * (1 + d) ** n)
-    bits = 8 * width
+    width = _slot_bytes(math.prod(k * (1 + min(d, k - 1)) for k in range(1, n + 1)))
+    half = [8 * width << k for k in range(n)]  # b-words of a (k+1)-set start here
+    members = _members(n)
     f = [1]
     for s in range(1, 1 << n):
         a = b = 0
-        m = s
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
+        vertices = members[s]
+        for v, low in vertices:
             rest = s ^ low
             o = opt[v] & rest
             if not o:
@@ -145,35 +202,46 @@ def _verbose_dp(reg: Masks, opt: Masks) -> VerboseVector:
                     b += tail if r == 1 else r * tail
             elif not o & (o - 1):  # exactly one optional edge
                 b += f[rest]
-        f.append(a | b << (bits << (s.bit_count() - 1)))
-    return VerboseVector._raw(n, _unpack(n, f[-1], width))
+        f.append(a | b << half[len(vertices) - 1])
+    return n, f[-1], width
 
 
 def verbose_flag_vector(g: GraphLike) -> VerboseVector:
     """Word-indexed flag vector of a graph, optional graph or graph sum.
 
-    A connected term's vector is its recursion's output as it is; any other
-    term's is verbose_from_concise of its part-union product, the shuffle of
-    its components' vectors.
+    A connected term's vector is its recursion's output unpacked; any other
+    term's is the packed expansion of its part-union product, the shuffle
+    of its components' vectors.
     """
-    check_size(g.n, MAX_VERBOSE_N, "verbose_flag_vector")
-    total = VerboseVector(g.n)
-    for coeff, vectors, ones in _terms(g):
-        if ones or len(vectors) != 1:  # not connected: shuffle the components
-            vectors = [verbose_from_concise(_concise_term(g.n, vectors, ones))]
-        total += coeff * vectors[0]
-    return total
+    n = g.n
+    check_size(n, MAX_VERBOSE_N, "verbose_flag_vector")
+    return _sum(VerboseVector, n, (
+        (coeff, _unpack(*vectors[0]) if len(vectors) == 1 and not ones
+         else _verbose_of(n, _concise_term(n, vectors, ones).items()))
+        for coeff, vectors, ones in _terms(g)
+    ))
 
 
 # ---------------------------------------------------------------------------
 # concise and subgraph forms
 
-def _restrict(masks: Masks, comp: int) -> Masks:
-    # the masks of the vertices of a component, relabelled to 0..k-1 in order
-    if comp == (1 << len(masks)) - 1:
-        return masks  # every vertex: nothing to relabel
-    index = {v: 1 << k for k, v in enumerate(bit_indices(comp))}
-    return tuple(sum(index[u] for u in bit_indices(masks[v])) for v in index)
+def _restrict(reg: Masks, opt: Masks, comp: int) -> tuple[Masks, Masks]:
+    """The regular and optional masks of a component's vertices, relabelled
+    to 0..k-1 in order, in one pass over those vertices."""
+    if comp == (1 << len(reg)) - 1:
+        return reg, opt  # every vertex: nothing to relabel
+    vertices = list(bit_indices(comp))
+    new = {1 << v: 1 << k for k, v in enumerate(vertices)}  # a vertex's bit, relabelled
+
+    def relabel(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= new[low]
+            mask ^= low
+        return out
+
+    return tuple(relabel(reg[v]) for v in vertices), tuple(relabel(opt[v]) for v in vertices)
 
 
 @lru_cache(maxsize=512)
@@ -202,18 +270,20 @@ def _check_product_work(sizes: list[int]) -> None:
     check_size(work, MAX_PRODUCT_WORK, "concise_flag_vector", "component product work")
 
 
-def _concise_term(n: int, vectors: list[VerboseVector], ones: int) -> ConciseVector:
-    # the part-union product of the components' concise forms and one part 1
-    # per isolated vertex
+def _concise_term(n: int, vectors: list[Packed], ones: int) -> dict[Partition, int]:
+    # the part-union product of the components' peels and one part 1 per
+    # isolated vertex; every coefficient is positive
+    if len(vectors) == 1 and not ones:
+        return dict(_peel(*vectors[0]))
     coeffs: dict[tuple[int, ...], int] = {(1,) * ones: 1}
-    for vec in map(concise_from_verbose, vectors):
+    for peeled in (_peel(*vec) for vec in vectors):
         product: dict[tuple[int, ...], int] = {}
         for parts, c in coeffs.items():
-            for part, d in vec._coeffs.items():
+            for part, d in peeled:
                 key = tuple(sorted(parts + part.parts, reverse=True))
                 product[key] = product.get(key, 0) + c * d
         coeffs = product
-    return ConciseVector._raw(n, {_partition(p): c for p, c in coeffs.items()})
+    return {_partition(p): c for p, c in coeffs.items()}
 
 
 def concise_flag_vector(g: GraphLike) -> ConciseVector:
@@ -222,16 +292,14 @@ def concise_flag_vector(g: GraphLike) -> ConciseVector:
     Every edge subset H contributes its tree shelling number times the
     partition of component sizes; cyclic subsets contribute nothing.  Both
     factor over connected components, so each component (at most
-    MAX_VERBOSE_N vertices, regular and optional edges alike) is inverted
-    from its own verbose recursion and the products of their coefficients
+    MAX_VERBOSE_N vertices, regular and optional edges alike) is peeled
+    from its own packed recursion and the products of their coefficients
     are filed under the unions of their parts; a product past
     _check_product_work's bound is refused before any recursion.
     """
-    total: dict[Partition, int] = {}
-    for coeff, vectors, ones in _terms(g):
-        for part, c in _concise_term(g.n, vectors, ones)._coeffs.items():
-            total[part] = total.get(part, 0) + coeff * c
-    return ConciseVector._raw(g.n, total)
+    return _sum(ConciseVector, g.n, (
+        (coeff, _concise_term(g.n, vectors, ones)) for coeff, vectors, ones in _terms(g)
+    ))
 
 
 def subgraph_flag_vector(g: GraphLike) -> ConciseVector:
@@ -271,7 +339,76 @@ def scale_subgraph_to_concise(v: ConciseVector) -> ConciseVector:
 # ---------------------------------------------------------------------------
 # conversions between verbose and concise
 
-@lru_cache(maxsize=512)  # holds every partition of 0..MAX_VERBOSE_N
+@lru_cache(maxsize=len(_FORMATS) * (MAX_VERBOSE_N + 1))
+def _shuffle_table(n: int, width: int) -> dict[Partition, int]:
+    """shuffle(lambda) of every partition lambda of n, packed in slots of
+    `width` bytes as _unpack reads them; `width` is 1, 2, 4 or 8.
+
+    shuffle's first-letter recursion on packed integers: at order k the
+    words that begin with b are the high half of the 2^k slots, so putting
+    b in front is a shift by 2^(k-1) slots and putting a in front is none.
+    Packing is linear, so every entry is exact as an integer whatever the
+    width; its slots read as coefficients while none reaches 2^(8 width).
+    """
+    half = [8 * width << k for k in range(n)]
+    memo: dict[tuple[int, ...], int] = {(): 1}
+
+    def packed(parts: tuple[int, ...]) -> int:
+        if parts not in memo:
+            total = 0
+            for i, m in enumerate(parts):
+                if parts[i + 1 : i + 2] == (m,):
+                    continue  # not the last part of its size
+                rest = parts[:i] + ((m - 1,) if m > 1 else ()) + parts[i + 1 :]
+                tail = packed(rest)
+                if parts[i - 1 : i] == (m,):  # several parts of size m
+                    tail *= parts.count(m)
+                total += tail << half[sum(rest)] if m > 1 else tail
+            memo[parts] = total
+        return memo[parts]
+
+    return {part: packed(part.parts) for part in enumerate_partitions(n)}
+
+
+def _expand(n: int, coeffs: Iterable[tuple[Partition, int]], width: int) -> int:
+    """The packed sum of c scale(lambda) shuffle(lambda) over (lambda, c).
+
+    Past 8 bytes, which only the public conversions reach, each shuffle
+    used is widened from the 8-byte table, whose slots hold every shuffle
+    coefficient (at most n!), so no table is built or kept per width.
+    """
+    rows = _anchor_system(n)
+    if width in _FORMATS:
+        table = _shuffle_table(n, width)
+        return sum(c * rows[p].scale * table[p] for p, c in coeffs)
+    table = _shuffle_table(n, 8)
+    return sum(c * rows[p].scale * _widen(n, table[p], width) for p, c in coeffs)
+
+
+def _widen(n: int, packed: int, wide: int) -> int:
+    # the same slots, each widened from 8 to `wide` bytes: byte b of every
+    # slot in one slice
+    raw = packed.to_bytes(8 << n, "little")
+    out = bytearray(wide << n)
+    for b in range(8):
+        out[b::wide] = raw[b::8]
+    return int.from_bytes(out, "little")
+
+
+def _mass(n: int, coeffs: Iterable[tuple[Partition, int]]) -> int:
+    """Coefficient sum of the verbose expansion of |c| over (lambda, c): no
+    slot of an expansion of non-negative coefficients exceeds it."""
+    rows = _anchor_system(n)
+    return sum(abs(c) * rows[p].mass for p, c in coeffs)
+
+
+def _verbose_of(n: int, coeffs: Iterable[tuple[Partition, int]]) -> dict[str, int]:
+    # the nonzero verbose coefficients of non-negative concise ones: one
+    # packed sum, in slots that hold its mass, and one unpack
+    width = _slot_bytes(_mass(n, coeffs))
+    return _unpack(n, _expand(n, coeffs, width), width)
+
+
 def shuffle(partition: Partition) -> VerboseVector:
     """Sum of all interleavings of the words b^(part-1) a, one per part.
 
@@ -283,37 +420,28 @@ def shuffle(partition: Partition) -> VerboseVector:
     the same rest, so shuffle(lambda) sums, over the distinct sizes m,
     mult_m(lambda) times that letter followed by the shuffle of lambda with
     its last part m lowered by one (a 0 dropped; the parts stay
-    non-increasing).  The shuffle of no parts is 1 on the empty word.
+    non-increasing).  The shuffle of no parts is 1 on the empty word.  Read
+    from _shuffle_table.
     """
     n = partition.n
     check_size(n, MAX_VERBOSE_N, "shuffle")
-    parts = partition.parts
-    total: dict[str, int] = {} if parts else {"": 1}
-    for i, m in enumerate(parts):
-        if parts[i + 1 : i + 2] == (m,):
-            continue  # not the last part of its size
-        rest = parts[:i] + ((m - 1,) if m > 1 else ()) + parts[i + 1 :]
-        letter = "b" if m > 1 else "a"
-        mult = parts.count(m)
-        for w, c in shuffle(_partition(rest))._coeffs.items():
-            w = letter + w
-            total[w] = total.get(w, 0) + mult * c
-    return VerboseVector._raw(n, total)
+    width = _order_bytes(n)
+    return VerboseVector._own(n, _unpack(n, _shuffle_table(n, width)[partition], width))
 
 
 def verbose_from_concise(v: ConciseVector) -> VerboseVector:
     """Expand a concise vector into the verbose form.
 
     Each partition contributes its coefficient times the product of component
-    scales times the shuffle of its parts.
+    scales times the shuffle of its parts.  The positive and the negative
+    coefficients each make one packed sum, unpacked once.
     """
-    check_size(v.n, MAX_VERBOSE_N, "verbose_from_concise")
-    total: dict[str, int] = {}
-    for part, c in v._coeffs.items():
-        scale = c * _part_scale(part)
-        for w, k in shuffle(part)._coeffs.items():
-            total[w] = total.get(w, 0) + scale * k
-    return VerboseVector._raw(v.n, total)
+    n = v.n
+    check_size(n, MAX_VERBOSE_N, "verbose_from_concise")
+    total = _verbose_of(n, [(p, c) for p, c in v._coeffs.items() if c > 0])
+    for w, c in _verbose_of(n, [(p, -c) for p, c in v._coeffs.items() if c < 0]).items():
+        total[w] = total.get(w, 0) - c
+    return VerboseVector._raw(n, total)
 
 
 def anchor_word(partition: Partition) -> str:
@@ -326,51 +454,112 @@ def anchor_word(partition: Partition) -> str:
     return "".join("b" * (m - 1) + "a" for m in sorted(partition.parts))
 
 
+class _Anchor(NamedTuple):
+    """One partition's row of the anchor system."""
+
+    partition: Partition
+    word: str  # its anchor word
+    scale: int
+    diagonal: int  # its scaled shuffle at its own anchor
+    mass: int  # its scaled shuffle's coefficient sum
+    slot: int  # its anchor word's slot
+    column: tuple[tuple[int, int], ...]  # (i, its scaled shuffle at anchor i) for later i, nonzero
+
+
 @lru_cache(maxsize=MAX_VERBOSE_N + 1)
-def _anchor_system(n: int) -> tuple[tuple[Partition, str, int, int], ...]:
-    """(partition, anchor word, scale, diagonal) per partition of n, in
-    anchor-word order.  An anchor word reads only as whole part-words in
-    non-decreasing size, so a partition's shuffle meets its own anchor once
-    per order of its equal parts (diagonal = scale * prod of mult_m! over
-    sizes m) and no earlier anchor: the system is triangular."""
-    out = []
-    for part in sorted(enumerate_partitions(n), key=anchor_word):
+def _anchor_system(n: int) -> dict[Partition, _Anchor]:
+    """The rows of the partitions of n, in anchor-word order.  An anchor
+    word reads only as whole part-words in non-decreasing size, so a
+    partition's shuffle meets its own anchor once per order of its equal
+    parts (diagonal = scale * prod of mult_m! over sizes m) and no earlier
+    anchor: the system is triangular."""
+    parts = sorted(enumerate_partitions(n), key=anchor_word)
+    words = [anchor_word(p) for p in parts]
+    slots = [int("0" + w.translate(_BITS), 2) for w in words]  # slot of each, see _words
+    width = _order_bytes(n)
+    table = _shuffle_table(n, width)
+    out = {}
+    for j, part in enumerate(parts):
         scale = _part_scale(part)
         orders = (math.factorial(part.parts.count(m)) for m in set(part.parts))
-        out.append((part, anchor_word(part), scale, scale * math.prod(orders)))
-    return tuple(out)
+        mass = scale * multinomial(n, part.parts)
+        at = _read(n, table[part], width, slots)
+        column = tuple((i, scale * at[i]) for i in range(j + 1, len(parts)) if at[i])
+        diagonal = scale * math.prod(orders)
+        out[part] = _Anchor(part, words[j], scale, diagonal, mass, slots[j], column)
+    return out
+
+
+_NON_INTEGRAL = (
+    "anchor coordinates give non-integral concise coefficients; "
+    "input is outside the integral span"
+)
+_OUTSIDE_SPAN = (
+    "verbose vector is inconsistent with its anchor coordinates; "
+    "input is outside the span of graph flag vectors"
+)
+
+
+def _solve(n: int, anchors: list[int]) -> list[tuple[Partition, int]]:
+    """The concise coefficients whose scaled shuffles take these values at
+    the anchor words, listed in anchor-word order: forward substitution in
+    integers, each coefficient the value left at its anchor divided by the
+    diagonal, then its column taken off the later anchors."""
+    out = []
+    for j, (part, _, _, diagonal, _, _, column) in enumerate(_anchor_system(n).values()):
+        q, r = divmod(anchors[j], diagonal)
+        if r:
+            raise ValueError(_NON_INTEGRAL)
+        if q:
+            out.append((part, q))
+            for i, t in column:
+                anchors[i] -= q * t
+    return out
+
+
+def _peel(n: int, packed: int, width: int) -> list[tuple[Partition, int]]:
+    """Concise coefficients of a packed verbose vector, from its anchor
+    slots alone, certified on packed integers.
+
+    The coefficients c_lambda are solved at the p(n) anchor slots and then
+    re-expanded, and the packed re-expansion must equal the input.  That
+    comparison is exact when every c_lambda is non-negative and the
+    re-expansion's mass, the sum over lambda of c_lambda scale(lambda)
+    multinomial(n; lambda), is below 2^(8 width): every slot of the
+    re-expansion is then non-negative and at most that mass, so no slot
+    carries into the next, and two packed integers without carries are
+    equal exactly when all their slots are.  A recursion output always
+    qualifies (its coefficients count tree shellings, and its mass is its
+    T(full), below its slot bound); anything else is refused.
+    """
+    rows = _anchor_system(n).values()
+    coeffs = _solve(n, _read(n, packed, width, [row.slot for row in rows]))
+    if any(c < 0 for _, c in coeffs) or _mass(n, coeffs) >> 8 * width:
+        raise ValueError(
+            "the re-expansion would carry across a slot; "
+            "input is outside the span of graph flag vectors"
+        )
+    if _expand(n, coeffs, width) != packed:
+        raise ValueError(_OUTSIDE_SPAN)
+    return coeffs
 
 
 def concise_from_verbose(v: VerboseVector) -> ConciseVector:
-    """Invert verbose_from_concise by peeling partitions in anchor-word order.
+    """Invert verbose_from_concise by solving at the anchor words.
 
-    A partition's coefficient is the residual at its anchor word divided by
-    the diagonal, and its scaled shuffle is then taken off the residual;
-    earlier partitions are all that can reach that anchor, so this is
-    forward substitution in integers.  The final residual is the input minus
-    the result's verbose expansion: a nonzero one means the input lies
-    outside the span of graph flag vectors.
+    The coefficients come from the input's values at the p(n) anchor words
+    by forward substitution in integers (_solve; a remainder means the input
+    is outside the integral span).  Their expansion must then give the input
+    back: any difference means it lies outside the span of graph flag
+    vectors.
     """
-    check_size(v.n, MAX_VERBOSE_N, "concise_from_verbose")
-    residual = dict(v._coeffs)
-    coeffs: dict[Partition, int] = {}
-    for part, anchor, scale, diagonal in _anchor_system(v.n):
-        q, r = divmod(residual.get(anchor, 0), diagonal)
-        if r:
-            raise ValueError(
-                "anchor coordinates give non-integral concise coefficients; "
-                "input is outside the integral span"
-            )
-        if q:
-            coeffs[part] = q
-            for w, c in shuffle(part)._coeffs.items():
-                residual[w] = residual.get(w, 0) - q * scale * c
-    if any(residual.values()):
-        raise ValueError(
-            "verbose vector is inconsistent with its anchor coordinates; "
-            "input is outside the span of graph flag vectors"
-        )
-    return ConciseVector._raw(v.n, coeffs)
+    n = v.n
+    check_size(n, MAX_VERBOSE_N, "concise_from_verbose")
+    rows = _anchor_system(n).values()
+    out = ConciseVector._own(n, dict(_solve(n, [v._coeffs.get(r.word, 0) for r in rows])))
+    if verbose_from_concise(out) != v:
+        raise ValueError(_OUTSIDE_SPAN)
+    return out
 
 
 # ---------------------------------------------------------------------------

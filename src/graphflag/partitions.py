@@ -10,7 +10,7 @@ lexicographic on the stored tuples, so for n = 4:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -21,9 +21,15 @@ MAX_PARTITIONS_N = 30  # p(30) = 5604
 
 @dataclass(frozen=True, order=True)
 class Partition:
-    """A partition of a nonnegative integer into positive parts."""
+    """A partition of a nonnegative integer into positive parts.
+
+    Equality and order are on `parts`; the hash, the one a frozen dataclass
+    would compute, is computed once, since partitions key every concise
+    vector's dict.
+    """
 
     parts: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(
@@ -32,6 +38,10 @@ class Partition:
             raise ValueError(f"parts must be positive integers: {self.parts!r}")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"parts must be non-increasing: {self.parts!r}")
+        object.__setattr__(self, "_hash", hash((self.parts,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_sizes(cls, sizes: Iterable[int]) -> "Partition":

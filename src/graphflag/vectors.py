@@ -38,9 +38,15 @@ class _FormalVector:
     def _raw(cls, n: int, coeffs: dict):
         """Internal: build from stored keys and integer values the program
         produced itself, dropping zeros without re-checking."""
+        return cls._own(n, {k: c for k, c in coeffs.items() if c})
+
+    @classmethod
+    def _own(cls, n: int, coeffs: dict):
+        """Internal: wrap a dict of stored keys and nonzero integer values
+        that the caller hands over, without a copy."""
         out = object.__new__(cls)
         out.n = n
-        out._coeffs = {k: c for k, c in coeffs.items() if c}
+        out._coeffs = coeffs
         return out
 
     def _key(self, key):

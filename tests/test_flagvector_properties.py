@@ -35,7 +35,7 @@ from graphflag import (
     verbose_flag_vector,
     verbose_from_concise,
 )
-from graphflag.flagvectors import _verbose_dp
+from graphflag.flagvectors import _unpack, _verbose_dp
 from graphflag.graphs import neighbor_masks
 from graphflag.selftest import _shelling_sum, _subgraph_sum
 
@@ -145,7 +145,7 @@ def _whole_dp(g) -> VerboseVector:
     # the recursion on the whole labelled graph, which never splits components
     og = g if isinstance(g, OptionalGraph) else OptionalGraph.from_graph(g)
     masks = neighbor_masks(og.n, og.regular), neighbor_masks(og.n, og.optional)
-    return _verbose_dp(*masks)
+    return VerboseVector(og.n, _unpack(*_verbose_dp(*masks)))
 
 
 def _disjoint_union(a: OptionalGraph, b: OptionalGraph) -> OptionalGraph:

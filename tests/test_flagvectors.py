@@ -47,6 +47,7 @@ from graphflag.flagvectors import (
     MAX_TOTAL_N,
     MAX_VERBOSE_N,
     _anchor_system,
+    _unpack,
     _verbose_dp,
 )
 from graphflag.graphs import component_masks, neighbor_masks
@@ -70,7 +71,7 @@ def _whole_dp(g):
     # the recursion on the whole labelled graph, which never splits components
     og = g if isinstance(g, OptionalGraph) else OptionalGraph.from_graph(g)
     masks = neighbor_masks(og.n, og.regular), neighbor_masks(og.n, og.optional)
-    return _verbose_dp(*masks)
+    return VerboseVector(og.n, _unpack(*_verbose_dp(*masks)))
 
 
 def _union(*graphs):
@@ -418,13 +419,17 @@ def test_anchor_system_closed_form_diagonal():
     # the diagonal scale * prod mult_m! is the scaled shuffle at the anchor,
     # and every shuffle vanishes at the anchors before its own
     for n in range(MAX_VERBOSE_N + 1):
-        system = _anchor_system(n)
-        assert sorted(p for p, *_ in system) == sorted(enumerate_partitions(n))
-        for i, (part, anchor, scale, diagonal) in enumerate(system):
-            assert anchor == anchor_word(part)
-            vec = shuffle(part)
-            assert diagonal == scale * vec.coefficient(anchor) != 0
-            assert all(vec.coefficient(a) == 0 for _, a, _, _ in system[:i])
+        system = list(_anchor_system(n).values())
+        assert sorted(r.partition for r in system) == sorted(enumerate_partitions(n))
+        for i, row in enumerate(system):
+            assert row.word == anchor_word(row.partition)
+            vec = shuffle(row.partition)
+            assert row.diagonal == row.scale * vec.coefficient(row.word) != 0
+            assert all(vec.coefficient(r.word) == 0 for r in system[:i])
+            # the column holds the scaled shuffle at every later anchor it meets
+            later = {j: row.scale * vec.coefficient(r.word) for j, r in enumerate(system)}
+            assert dict(row.column) == {j: t for j, t in later.items() if j > i and t}
+            assert row.mass == sum(row.scale * c for _, c in vec.items())
 
 
 def test_conversions_refuse_beyond_the_verbose_bound():

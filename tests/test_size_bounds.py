@@ -224,6 +224,9 @@ def test_a_long_component_product_is_refused_before_any_recursion(form, g, monke
     with pytest.raises(SizeLimitError, match="component product work"):
         form(g)
     assert time.perf_counter() - start < 1.0
+    # the patched name is the one the forms call: an accepted input reaches it
+    with pytest.raises(AssertionError, match="a component's recursion ran"):
+        form(_cliques(2, 3))
 
 
 def test_cli_refuses_a_long_component_product(capsys):
