@@ -78,6 +78,11 @@ class EchelonRows:
         self._cols.append(lead)
         return work
 
+    def truncate(self, rank: int) -> None:
+        """Drop every row kept after the first `rank`: a kept row depends
+        only on the rows before it, so the rest stay as they were."""
+        del self._rows[rank:], self._cols[rank:]
+
 
 class RationalMatrix:
     """Immutable dense matrix of ints and Fractions, held as integer rows

@@ -21,7 +21,7 @@ import itertools
 import math
 import struct
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MAX_GRAPH_N, check_size
 from .graphs import (
@@ -131,12 +131,17 @@ def _unpack(n: int, packed: int, width: int) -> dict[str, int]:
     Slot i, the `width` bytes from byte i * width, little-endian, holds the
     non-negative coefficient of word i of _words(n).
     """
-    raw = packed.to_bytes(width << n, "little")
-    if width in _FORMATS:
-        slots = struct.unpack(f"<{1 << n}{_FORMATS[width]}", raw)
-    else:
-        slots = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    slots = _slots(packed, 1 << n, width)
     return dict(zip(itertools.compress(_words(n), slots), filter(None, slots)))
+
+
+def _slots(packed: int, count: int, width: int) -> Sequence[int]:
+    # the first `count` slots of `width` bytes, little-endian: one struct
+    # call at 1, 2, 4 or 8 bytes, else whole bytes
+    raw = packed.to_bytes(width * count, "little")
+    if width in _FORMATS:
+        return struct.unpack(f"<{count}{_FORMATS[width]}", raw)
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 def _read(n: int, packed: int, width: int, slots: list[int]) -> list[int]:
@@ -246,8 +251,16 @@ def _restrict(reg: Masks, opt: Masks, comp: int) -> tuple[Masks, Masks]:
 
 @lru_cache(maxsize=512)
 def _partition(parts: tuple[int, ...]) -> Partition:
-    # one shared key object per partition, however many vectors hold it
-    return Partition(parts)
+    # one shared key object per partition, however many vectors hold it: up
+    # to MAX_VERBOSE_N the one that keys _anchor_system and _shuffle_table,
+    # so a lookup there matches on identity
+    n = sum(parts)
+    return _partitions_by_parts(n)[parts] if n <= MAX_VERBOSE_N else Partition(parts)
+
+
+@lru_cache(maxsize=MAX_VERBOSE_N + 1)
+def _partitions_by_parts(n: int) -> dict[tuple[int, ...], Partition]:
+    return {part.parts: part for part in enumerate_partitions(n)}
 
 
 def _check_product_work(sizes: list[int]) -> None:

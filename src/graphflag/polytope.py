@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import check_size
 from .exactlin import EchelonRows, RationalMatrix, integer_rows, lp_feasible, rank
-from .flagvectors import concise_flag_vector
+from .flagvectors import _slot_bytes, _slots, concise_flag_vector
 from .graphs import Graph, bit_indices, connected_partition, enumerate_graphs
 from .partitions import enumerate_partitions
 from .vectors import ConciseVector
@@ -309,9 +309,12 @@ def hull_facets(points: Sequence[Sequence]) -> tuple[FacetInequality, ...]:
     coefficients . x + offset >= 0 on every input point and equality exactly
     on each facet.  Coefficients are zero on coordinates that are constant
     across the points.  Rational points are scaled by one common
-    denominator; all the work is in integers.  Points of unequal length are
-    refused with ValueError, and a point that is no sequence of ints and
-    Fractions with TypeError.
+    denominator; all the work is in integers.  Every facet is certified
+    before it is returned: one packed evaluation gives its value at every
+    point, and its tight points are checked for facet rank (see
+    _facet_incidence).  Points of unequal length are refused with
+    ValueError, and a point that is no sequence of ints and Fractions with
+    TypeError.
     """
     return tuple(f for f, _ in _facet_incidence(points))
 
@@ -319,7 +322,14 @@ def hull_facets(points: Sequence[Sequence]) -> tuple[FacetInequality, ...]:
 def _facet_incidence(points: Sequence[Sequence]) -> list[tuple[FacetInequality, int]]:
     """The facets of `hull_facets`, sorted, each with the bitmask of the
     distinct points tight on it: bit i for the i-th distinct point in order
-    of first occurrence."""
+    of first occurrence.
+
+    The double description's rays are certified in integers: a zero ray is
+    refused, each facet holds on every point and is tight on some (one
+    packed evaluation per facet, see _tight_points), its tight points have
+    facet rank (one elimination shared along common prefixes, see
+    _check_facet_rank), and no facet repeats.
+    """
     scaled, scale = integer_rows(points)
     unique = list(dict.fromkeys(scaled))
     check_size(len(unique), MAX_FACET_POINTS, "hull_facets", "distinct points")
@@ -332,31 +342,16 @@ def _facet_incidence(points: Sequence[Sequence]) -> list[tuple[FacetInequality, 
     rays = _double_description([(1, *(_dot(row, d) for row in chart)) for d in diffs])
 
     facets: list[tuple[int, ...]] = []
+    chart_cols = list(zip(*chart))
     for ray in rays:
-        amb = [_dot(ray[1:], col) for col in zip(*chart)]
+        if not any(ray):
+            raise ArithmeticError("double description gave a zero ray")
+        y = ray[1:]
+        amb = [_dot(y, col) for col in chart_cols]
         facets.append(_primitive(amb + [ray[0] - _dot(amb, p0)]))
 
-    # verify before returning: validity on all points and genuine facet rank
-    masks = []
-    for *coeffs, offset in facets:
-        vals = [offset + _dot(coeffs, pt) for pt in unique]
-        if any(v < 0 for v in vals):
-            raise ArithmeticError("facet inequality fails on an input point")
-        tight = [i for i, v in enumerate(vals) if v == 0]
-        if not tight:
-            raise ArithmeticError("facet inequality is tight on no point")
-        if len(tight) == len(unique):
-            raise ArithmeticError("facet inequality is tight on every point")
-        # some point lies off it, so the tight points span a proper face, of
-        # rank len(chart) - 1 at most: stop adding them at that rank
-        echelon = EchelonRows()
-        for i in tight[1:]:
-            if echelon.rank == len(chart) - 1:
-                break
-            echelon.add([a - b for a, b in zip(unique[i], unique[tight[0]])])
-        if echelon.rank != len(chart) - 1:
-            raise ArithmeticError("inequality does not support a facet")
-        masks.append(sum(1 << i for i in tight))
+    tight_sets = _tight_points(unique, facets)
+    _check_facet_rank(unique, tight_sets, len(chart) - 1)
     if len(set(facets)) != len(facets):
         raise ArithmeticError("duplicate facet inequalities")
     # back to the unscaled points: c . (scale x) + offset >= 0, same tight
@@ -366,7 +361,86 @@ def _facet_incidence(points: Sequence[Sequence]) -> list[tuple[FacetInequality, 
     for *coeffs, offset in facets:
         f = _primitive([c * scale for c in coeffs] + [offset])
         unscaled.append(tuple(map(shared.setdefault, f, f)))
+    masks = [sum(1 << i for i in tight) for tight in tight_sets]
     return sorted(((f[:-1], f[-1]), mask) for f, mask in zip(unscaled, masks))
+
+
+def _tight_points(
+    points: list[tuple[int, ...]], facets: list[tuple[int, ...]]
+) -> list[list[int]]:
+    """The indices of the points tight on each facet (coefficients...,
+    offset), refusing a facet that fails on a point or is tight on none.
+
+    Coordinate j of the points packs into one integer col_j, slot i holding
+    x_ij in w bytes, and a last column holds 1 in every slot.  A facet's
+    values lie within +-B, B = |offset| + sum_j |c_j| max_i |x_ij|, so with
+    2^(8w - 1) > B, offset ones + sum_j c_j col_j + 2^(8w - 1) ones holds
+    f(x_i) + 2^(8w - 1) in slot i, in 0..2^(8w) - 1: no slot borrows from or
+    carries into the next, and one unpack reads every value.  A slot below
+    the bias is a point the facet fails on, one equal to it a tight point.
+    """
+    columns = [*zip(*points), (1,) * len(points)]
+    reach = [max(map(abs, col)) for col in columns]
+    packed: dict[int, list[int]] = {}  # packed columns per slot width
+    out = []
+    for f in facets:
+        width = _slot_bytes(2 * _dot(map(abs, f), reach) + 1)
+        if width not in packed:
+            shifts = range(0, 8 * width * len(points), 8 * width)
+            packed[width] = [sum(x << s for x, s in zip(col, shifts)) for col in columns]
+        cols, bias = packed[width], 1 << 8 * width - 1
+        slots = _slots(_dot(f, cols) + bias * cols[-1], len(points), width)
+        if min(slots) < bias:
+            raise ArithmeticError("facet inequality fails on an input point")
+        tight = [i for i, v in enumerate(slots) if v == bias]
+        if not tight:
+            raise ArithmeticError("facet inequality is tight on no point")
+        out.append(tight)
+    return out
+
+
+def _check_facet_rank(
+    points: list[tuple[int, ...]], tight_sets: list[list[int]], rank: int
+) -> None:
+    """Refuse unless the tight points of each facet have affine rank `rank`.
+
+    A facet's tight points t_0 < t_1 < ... are taken in order, each x_t - x_t0
+    added to an echelon until it reaches `rank`.  A facet here is a chart
+    functional and no constant (_tight_points refuses those), so some point
+    lies off it and the rank cannot pass `rank`.  In lexicographic order of
+    tight sets, a facet that shares a prefix of tight points with the one
+    before shares that prefix's echelon rows too, and only drops and adds
+    the rest.  The points are first renumbered from the one on the most
+    facets down, which makes shared prefixes longer.
+    """
+    count = [0] * len(points)
+    for tight in tight_sets:
+        for i in tight:
+            count[i] += 1
+    order = sorted(range(len(points)), key=count.__getitem__, reverse=True)
+    new_index = {i: k for k, i in enumerate(order)}
+    points = [points[i] for i in order]
+    echelon = EchelonRows()
+    done: list[int] = []  # the tight points added for the facet before
+    ranks = [0]  # ranks[k]: the echelon's rank after done[:k]
+    for tight in sorted(sorted(map(new_index.__getitem__, t)) for t in tight_sets):
+        share = 0  # tight sorts after done, so it is no proper prefix of it
+        while share < len(done) and done[share] == tight[share]:
+            share += 1
+        echelon.truncate(ranks[share])
+        del done[share:], ranks[share + 1 :]
+        if not share:
+            base = points[tight[0]]
+            diffs = [[a - b for a, b in zip(x, base)] for x in points]
+        for i in tight[share:]:
+            if echelon.rank == rank:
+                break
+            if done:
+                echelon.add(diffs[i])
+            done.append(i)
+            ranks.append(echelon.rank)
+        if echelon.rank != rank:
+            raise ArithmeticError("inequality does not support a facet")
 
 
 # ---------------------------------------------------------------------------

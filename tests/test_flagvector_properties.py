@@ -6,6 +6,7 @@ that shares none of that: shelling sums, spanning-subgraph sums weighted by
 tree or acyclic shelling numbers, and the inclusion-exclusion expansion.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -27,6 +28,7 @@ from graphflag import (
     complement_transform,
     concise_flag_vector,
     connected_partition,
+    enumerate_partitions,
     expand,
     pair_order,
     parse_graph,
@@ -35,7 +37,7 @@ from graphflag import (
     verbose_flag_vector,
     verbose_from_concise,
 )
-from graphflag.flagvectors import _unpack, _verbose_dp
+from graphflag.flagvectors import MAX_VERBOSE_N, _unpack, _verbose_dp
 from graphflag.graphs import neighbor_masks
 from graphflag.selftest import _shelling_sum, _subgraph_sum
 
@@ -174,6 +176,19 @@ def test_concise_of_disjoint_union_is_the_part_union_product(a, b):
     assert concise_flag_vector(union) == product
     # the whole-graph recursion never splits components
     assert verbose_from_concise(product) == _whole_dp(union)
+
+
+@pytest.mark.parametrize("sizes", [(5, 4, 1), (3, 3, 3, 2), (7, 7)])
+def test_part_union_keys_are_the_listed_partitions_up_to_the_verbose_bound(sizes):
+    # up to MAX_VERBOSE_N a product is keyed by the objects that
+    # enumerate_partitions lists, and so the conversion tables; past it
+    # (7 + 7) by keys of its own, equal to them
+    parts = [OptionalGraph.from_graph(Graph(m, frozenset(pair_order(m)))) for m in sizes]
+    union = functools.reduce(_disjoint_union, parts)
+    vec = concise_flag_vector(union)
+    assert vec == functools.reduce(_part_union_product, map(concise_flag_vector, parts))
+    listed = {id(p) for p in enumerate_partitions(union.n)}
+    assert all((id(p) in listed) == (union.n <= MAX_VERBOSE_N) for p in vec._coeffs)
 
 
 def test_concise_on_9_to_12_vertices_re_expands_to_the_recursion():

@@ -26,7 +26,7 @@ from graphflag import (
     verbose_flag_vector,
 )
 from graphflag import polytope
-from graphflag.exactlin import EchelonRows
+from graphflag.exactlin import EchelonRows, integer_rows
 from graphflag.graphs import (
     Graph,
     bit_indices,
@@ -263,6 +263,9 @@ def test_facets_match_subset_scanning_oracle(points):
         (lambda rays: [*rays, (0, 1, 1)], "does not support a facet"),
         (lambda rays: [*rays, rays[0]], "duplicate facet"),
         (lambda rays: [tuple(-x for x in rays[0]), *rays[1:]], "fails on an input point"),
+        (lambda rays: [*rays, (0, 0, 0)], "zero ray"),
+        # the functional 1 >= 0: valid, but tight on no point
+        (lambda rays: [*rays, (1, 0, 0)], "tight on no point"),
     ],
 )
 def test_facet_certificate_refuses_wrong_rays(monkeypatch, corrupt, message):
@@ -271,6 +274,68 @@ def test_facet_certificate_refuses_wrong_rays(monkeypatch, corrupt, message):
     monkeypatch.setattr(polytope, "_double_description", lambda cs: corrupt(dd(cs)))
     with pytest.raises(ArithmeticError, match=message):
         hull_facets([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+BIG = 10**20
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        # coordinates near 10^20: every facet's bound needs slots past 8 bytes
+        [(BIG + x, BIG - y, BIG * z) for x, y, z in itertools.product((0, 1), repeat=3)]
+        + [(BIG, BIG, BIG // 2), (BIG + 1, BIG - 1, 2 * BIG)],
+        [(BIG * x + y, -BIG * y + x) for x, y in [(0, 0), (3, 1), (1, 3), (2, 2), (1, 1)]],
+        # rational points over large denominators, about 10^44 in common
+        [
+            (Fraction(x, 10**15 + 37), Fraction(y, 7**18), Fraction(x * y, 3**30))
+            for x, y in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (-1, 2)]
+        ],
+    ],
+)
+def test_packed_certificate_matches_oracle_on_wide_slots(points):
+    facets = hull_facets(points)
+    scaled, _ = integer_rows(points)
+    reach = [max(abs(x) for x in col) for col in zip(*scaled)]
+    bounds = [  # of the facets as the certificate evaluates them
+        abs(offset) + sum(abs(c) * r for c, r in zip(coeffs, reach))
+        for (coeffs, offset), _ in polytope._facet_incidence(scaled)
+    ]
+    assert min(bounds) >= 2**63  # past the 8-byte slots
+    oracle = _facet_tight_sets_oracle(points)
+    assert _facet_tight_sets(points, facets) == oracle
+    assert len(facets) == len(oracle)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_packed_evaluation_at_slot_width_edges(width, shift):
+    # on the points 0, m, 1, x >= 0 reaches its bound m, and slots of
+    # `width` bytes hold bounds up to 2^(8 width - 1) - 1
+    m = 2 ** (8 * width - 1) + shift
+    points = [(0,), (m,), (1,)]
+    assert polytope._tight_points(points, [(1, 0), (-1, m)]) == [[0], [1]]
+    with pytest.raises(ArithmeticError, match="fails on an input point"):
+        polytope._tight_points(points, [(-1, m - 1)])
+    with pytest.raises(ArithmeticError, match="fails on an input point"):
+        polytope._tight_points(points, [(-1, 0)])  # -m, the least value
+    with pytest.raises(ArithmeticError, match="tight on no point"):
+        polytope._tight_points(points, [(-1, m + 1)])
+
+
+def test_facet_rank_check_refuses_every_point_pair_among_cube_facets():
+    # two points have rank 1, short of a facet's 2.  The facet x = 0 is
+    # listed three times, so the points lie on unequally many tight sets,
+    # and a pair sorts in among the facets, sharing their echelon rows
+    cube = list(itertools.product((0, 1), repeat=3))
+    facets = [
+        [i for i, p in enumerate(cube) if p[j] == v] for j in range(3) for v in (0, 1)
+    ]
+    facets += [facets[0]] * 2
+    polytope._check_facet_rank(cube, facets, 2)
+    for pair in itertools.combinations(range(8), 2):
+        with pytest.raises(ArithmeticError, match="does not support a facet"):
+            polytope._check_facet_rank(cube, [*facets, list(pair)], 2)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -309,6 +374,25 @@ def test_facets_match_oracle_on_small_point_sets(points):
     facets = hull_facets(points)
     constant = [j for j in range(len(points[0])) if len({p[j] for p in points}) == 1]
     assert all(coeffs[j] == 0 for coeffs, _ in facets for j in constant)
+    if len(set(points)) == 1:
+        assert facets == ()
+        return
+    oracle = _facet_tight_sets_oracle(points)
+    assert _facet_tight_sets(points, facets) == oracle
+    assert len(facets) == len(oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_point_sets(),
+    st.sampled_from([BIG, -BIG - 7, Fraction(1, BIG + 3), Fraction(-5, 3**40)]),
+    st.integers(-BIG, BIG),
+)
+def test_facets_match_oracle_on_far_and_fine_point_sets(points, scale, shift):
+    # an affine image keeps every facet's tight set; its values need the
+    # wide slots, or a common denominator of 10^20 or more
+    points = [tuple(scale * x + shift for x in p) for p in points]
+    facets = hull_facets(points)
     if len(set(points)) == 1:
         assert facets == ()
         return
