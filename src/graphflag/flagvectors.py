@@ -8,8 +8,8 @@ coefficient in a fixed-width slot.  The flag vector is multiplicative over
 components: concise is the part-union product of their peels (a triangular
 solve at the anchor slots, certified by re-expanding on packed integers),
 subgraph rescales it, and verbose is a connected term's recursion unpacked,
-or else the packed expansion of the product.  Both conversions read one
-table per order and slot width, every partition's shuffle packed.  Also the
+or else the packed expansion of the product.  Shuffles come packed, one
+table per order and slot width, in the format of `vectors`.  Also the
 complement transform, totals, basis sums, anchor words and the
 edge-removal word vector.  Inputs may be graphs, optional-edge graphs or
 graph sums.
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MAX_GRAPH_N, check_size
 from .graphs import (
@@ -35,6 +34,7 @@ from .graphs import (
 )
 from .partitions import Partition, enumerate_partitions, multinomial, partition_count
 from .vectors import ConciseVector, EdgeWordVector, VerboseVector, add_letter_product
+from .vectors import read_slots, slot_bytes, widen_slots  # the packed-vector codec
 
 MAX_VERBOSE_N = 12  # each component's recursion, and the 2^n words of verbose
 MAX_TOTAL_N = 20
@@ -99,7 +99,6 @@ def _part_scale(part: Partition) -> int:
 # ---------------------------------------------------------------------------
 # packed vectors
 
-_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct's standard sizes
 _BITS = str.maketrans("ab", "01")
 
 
@@ -112,42 +111,11 @@ def _words(n: int) -> tuple[str, ...]:
     return tuple(words)
 
 
-def _slot_bytes(bound: int) -> int:
-    """Bytes per packed slot holding values 0..bound: the least of 1, 2, 4
-    and 8 that do, so one struct call reads every slot, else whole bytes."""
-    size = (bound.bit_length() + 7) // 8
-    return next((w for w in _FORMATS if w >= size), size)
-
-
-def _order_bytes(n: int) -> int:
-    # slots that hold any order-n recursion output, (n!)^2 at K_n (see
-    # _verbose_dp), and so every shuffle of order n
-    return _slot_bytes(math.factorial(n) ** 2)
-
-
 def _unpack(n: int, packed: int, width: int) -> dict[str, int]:
-    """The nonzero coefficients of a packed vector over the length-n words.
-
-    Slot i, the `width` bytes from byte i * width, little-endian, holds the
-    non-negative coefficient of word i of _words(n).
-    """
-    slots = _slots(packed, 1 << n, width)
+    """The nonzero coefficients of a packed vector (see vectors) whose slot i
+    holds the non-negative coefficient of word i of _words(n)."""
+    slots = read_slots(packed, 1 << n, width)
     return dict(zip(itertools.compress(_words(n), slots), filter(None, slots)))
-
-
-def _slots(packed: int, count: int, width: int) -> Sequence[int]:
-    # the first `count` slots of `width` bytes, little-endian: one struct
-    # call at 1, 2, 4 or 8 bytes, else whole bytes
-    raw = packed.to_bytes(width * count, "little")
-    if width in _FORMATS:
-        return struct.unpack(f"<{count}{_FORMATS[width]}", raw)
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-
-
-def _read(n: int, packed: int, width: int, slots: list[int]) -> list[int]:
-    # the values of a few slots of a packed vector
-    raw = packed.to_bytes(width << n, "little")
-    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in slots]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +157,7 @@ def _verbose_dp(reg: Masks, opt: Masks) -> Packed:
     """
     n = len(reg)
     d = max((m.bit_count() for m in reg), default=0)
-    width = _slot_bytes(math.prod(k * (1 + min(d, k - 1)) for k in range(1, n + 1)))
+    width = slot_bytes(math.prod(k * (1 + min(d, k - 1)) for k in range(1, n + 1)))
     half = [8 * width << k for k in range(n)]  # b-words of a (k+1)-set start here
     members = _members(n)
     f = [1]
@@ -255,12 +223,9 @@ def _partition(parts: tuple[int, ...]) -> Partition:
     # to MAX_VERBOSE_N the one that keys _anchor_system and _shuffle_table,
     # so a lookup there matches on identity
     n = sum(parts)
-    return _partitions_by_parts(n)[parts] if n <= MAX_VERBOSE_N else Partition(parts)
-
-
-@lru_cache(maxsize=MAX_VERBOSE_N + 1)
-def _partitions_by_parts(n: int) -> dict[tuple[int, ...], Partition]:
-    return {part.parts: part for part in enumerate_partitions(n)}
+    if n > MAX_VERBOSE_N:
+        return Partition(parts)
+    return next(part for part in enumerate_partitions(n) if part.parts == parts)
 
 
 def _check_product_work(sizes: list[int]) -> None:
@@ -352,7 +317,7 @@ def scale_subgraph_to_concise(v: ConciseVector) -> ConciseVector:
 # ---------------------------------------------------------------------------
 # conversions between verbose and concise
 
-@lru_cache(maxsize=len(_FORMATS) * (MAX_VERBOSE_N + 1))
+@lru_cache(maxsize=4 * (MAX_VERBOSE_N + 1))  # widths 1, 2, 4 and 8
 def _shuffle_table(n: int, width: int) -> dict[Partition, int]:
     """shuffle(lambda) of every partition lambda of n, packed in slots of
     `width` bytes as _unpack reads them; `width` is 1, 2, 4 or 8.
@@ -390,22 +355,10 @@ def _expand(n: int, coeffs: Iterable[tuple[Partition, int]], width: int) -> int:
     used is widened from the 8-byte table, whose slots hold every shuffle
     coefficient (at most n!), so no table is built or kept per width.
     """
-    rows = _anchor_system(n)
-    if width in _FORMATS:
-        table = _shuffle_table(n, width)
+    rows, table = _anchor_system(n), _shuffle_table(n, min(width, 8))
+    if width <= 8:
         return sum(c * rows[p].scale * table[p] for p, c in coeffs)
-    table = _shuffle_table(n, 8)
-    return sum(c * rows[p].scale * _widen(n, table[p], width) for p, c in coeffs)
-
-
-def _widen(n: int, packed: int, wide: int) -> int:
-    # the same slots, each widened from 8 to `wide` bytes: byte b of every
-    # slot in one slice
-    raw = packed.to_bytes(8 << n, "little")
-    out = bytearray(wide << n)
-    for b in range(8):
-        out[b::wide] = raw[b::8]
-    return int.from_bytes(out, "little")
+    return sum(c * rows[p].scale * widen_slots(table[p], 1 << n, 8, width) for p, c in coeffs)
 
 
 def _mass(n: int, coeffs: Iterable[tuple[Partition, int]]) -> int:
@@ -418,7 +371,7 @@ def _mass(n: int, coeffs: Iterable[tuple[Partition, int]]) -> int:
 def _verbose_of(n: int, coeffs: Iterable[tuple[Partition, int]]) -> dict[str, int]:
     # the nonzero verbose coefficients of non-negative concise ones: one
     # packed sum, in slots that hold its mass, and one unpack
-    width = _slot_bytes(_mass(n, coeffs))
+    width = slot_bytes(_mass(n, coeffs))
     return _unpack(n, _expand(n, coeffs, width), width)
 
 
@@ -438,8 +391,7 @@ def shuffle(partition: Partition) -> VerboseVector:
     """
     n = partition.n
     check_size(n, MAX_VERBOSE_N, "shuffle")
-    width = _order_bytes(n)
-    return VerboseVector._own(n, _unpack(n, _shuffle_table(n, width)[partition], width))
+    return VerboseVector._own(n, _unpack(n, _shuffle_table(n, 8)[partition], 8))
 
 
 def verbose_from_concise(v: ConciseVector) -> VerboseVector:
@@ -489,15 +441,14 @@ def _anchor_system(n: int) -> dict[Partition, _Anchor]:
     parts = sorted(enumerate_partitions(n), key=anchor_word)
     words = [anchor_word(p) for p in parts]
     slots = [int("0" + w.translate(_BITS), 2) for w in words]  # slot of each, see _words
-    width = _order_bytes(n)
-    table = _shuffle_table(n, width)
+    table = _shuffle_table(n, 8)
     out = {}
     for j, part in enumerate(parts):
         scale = _part_scale(part)
         orders = (math.factorial(part.parts.count(m)) for m in set(part.parts))
         mass = scale * multinomial(n, part.parts)
-        at = _read(n, table[part], width, slots)
-        column = tuple((i, scale * at[i]) for i in range(j + 1, len(parts)) if at[i])
+        at = read_slots(table[part], 1 << n, 8)
+        column = tuple((i, scale * at[s]) for i, s in enumerate(slots) if i > j and at[s])
         diagonal = scale * math.prod(orders)
         out[part] = _Anchor(part, words[j], scale, diagonal, mass, slots[j], column)
     return out
@@ -545,8 +496,8 @@ def _peel(n: int, packed: int, width: int) -> list[tuple[Partition, int]]:
     qualifies (its coefficients count tree shellings, and its mass is its
     T(full), below its slot bound); anything else is refused.
     """
-    rows = _anchor_system(n).values()
-    coeffs = _solve(n, _read(n, packed, width, [row.slot for row in rows]))
+    slots = read_slots(packed, 1 << n, width)
+    coeffs = _solve(n, [slots[row.slot] for row in _anchor_system(n).values()])
     if any(c < 0 for _, c in coeffs) or _mass(n, coeffs) >> 8 * width:
         raise ValueError(
             "the re-expansion would carry across a slot; "

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import MAX_GRAPH_N, GraphParseError, check_size, read_number
 from .partitions import Partition
-from .vectors import _FormalVector
+from .vectors import FormalVector
 
 if TYPE_CHECKING:
     import numpy as np
@@ -459,7 +459,7 @@ def connected_partition(g: Graph) -> Partition:
     return Partition.from_sizes(c.bit_count() for c in comps)
 
 
-class GraphSum(_FormalVector):
+class GraphSum(FormalVector):
     """Integer formal sum of n-vertex graphs, keyed by canonical forms."""
 
     __slots__ = ()

@@ -16,10 +16,10 @@ from typing import Sequence
 
 from .errors import check_size
 from .exactlin import EchelonRows, RationalMatrix, integer_rows, lp_feasible, rank
-from .flagvectors import _slot_bytes, _slots, concise_flag_vector
+from .flagvectors import concise_flag_vector
 from .graphs import Graph, bit_indices, connected_partition, enumerate_graphs
 from .partitions import enumerate_partitions
-from .vectors import ConciseVector
+from .vectors import ConciseVector, pack_slots, read_signed_slots, slot_bytes
 
 MAX_SPAN_N = 7  # span_dimension and nullspace_report
 MAX_HULL_N = 6
@@ -372,27 +372,23 @@ def _tight_points(
     offset), refusing a facet that fails on a point or is tight on none.
 
     Coordinate j of the points packs into one integer col_j, slot i holding
-    x_ij in w bytes, and a last column holds 1 in every slot.  A facet's
-    values lie within +-B, B = |offset| + sum_j |c_j| max_i |x_ij|, so with
-    2^(8w - 1) > B, offset ones + sum_j c_j col_j + 2^(8w - 1) ones holds
-    f(x_i) + 2^(8w - 1) in slot i, in 0..2^(8w) - 1: no slot borrows from or
-    carries into the next, and one unpack reads every value.  A slot below
-    the bias is a point the facet fails on, one equal to it a tight point.
+    x_ij (see vectors.pack_slots), and a last column holds 1 in every slot.
+    A facet's values lie within +-B, B = |offset| + sum_j |c_j| max_i
+    |x_ij|, so in w-byte slots with 2^(8w - 1) > B, one signed read of
+    offset ones + sum_j c_j col_j gives every value f(x_i).
     """
     columns = [*zip(*points), (1,) * len(points)]
     reach = [max(map(abs, col)) for col in columns]
     packed: dict[int, list[int]] = {}  # packed columns per slot width
     out = []
     for f in facets:
-        width = _slot_bytes(2 * _dot(map(abs, f), reach) + 1)
+        width = slot_bytes(2 * _dot(map(abs, f), reach) + 1)
         if width not in packed:
-            shifts = range(0, 8 * width * len(points), 8 * width)
-            packed[width] = [sum(x << s for x, s in zip(col, shifts)) for col in columns]
-        cols, bias = packed[width], 1 << 8 * width - 1
-        slots = _slots(_dot(f, cols) + bias * cols[-1], len(points), width)
-        if min(slots) < bias:
+            packed[width] = [pack_slots(col, width) for col in columns]
+        values = read_signed_slots(_dot(f, packed[width]), len(points), width)
+        if min(values) < 0:
             raise ArithmeticError("facet inequality fails on an input point")
-        tight = [i for i, v in enumerate(slots) if v == bias]
+        tight = [i for i, v in enumerate(values) if not v]
         if not tight:
             raise ArithmeticError("facet inequality is tight on no point")
         out.append(tight)

@@ -1,21 +1,23 @@
 """Integer formal sums: one base and the flag-vector classes built on it.
 
-`_FormalVector` holds the arithmetic of every integer formal sum in the
+`FormalVector` holds the arithmetic of every integer formal sum in the
 package: the word vectors and partition vectors here, and `GraphSum` in
 `graphs`.  Sums are immutable value objects supporting addition,
 subtraction, integer scaling and exact equality between sums of one class
-and one size `n`.  Zero coefficients are never stored.
+and one size `n`.  Zero coefficients are never stored.  Also the codec of
+packed vectors, the integer format of flag vectors and facet values.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable
+import struct
+from typing import Iterable, Sequence
 
 from .partitions import Partition
 
 
-class _FormalVector:
+class FormalVector:
     """Integer-coefficient formal sum of size n over a per-class key set.
 
     A subclass supplies `_key`, which validates a key given to the
@@ -120,7 +122,7 @@ class _FormalVector:
     __hash__ = None
 
 
-class _WordVector(_FormalVector):
+class _WordVector(FormalVector):
     """Integer combination of length-n words over the class's alphabet."""
 
     __slots__ = ()
@@ -182,7 +184,7 @@ class EdgeWordVector(_WordVector):
         return self.n
 
 
-class ConciseVector(_FormalVector):
+class ConciseVector(FormalVector):
     """Integer combination of partitions of n."""
 
     __slots__ = ()
@@ -191,3 +193,54 @@ class ConciseVector(_FormalVector):
         if not isinstance(part, Partition) or part.n != self.n:
             raise ValueError(f"key {part!r} is not a partition of {self.n}")
         return part
+
+
+# ---------------------------------------------------------------------------
+# packed vectors: slot i holds value i in the `width` bytes from byte
+# i * width, little-endian, so value i is weighted 2^(8 width i)
+
+_FORMATS = {1: "Bb", 2: "Hh", 4: "Ii", 8: "Qq"}  # struct's codes, unsigned and signed
+
+
+def slot_bytes(bound: int) -> int:
+    """Bytes per packed slot holding values 0..bound: the least of 1, 2, 4
+    and 8 that do, so one struct call reads every slot, else whole bytes."""
+    size = (bound.bit_length() + 7) // 8
+    return next((w for w in _FORMATS if w >= size), size)
+
+
+def pack_slots(values: Iterable[int], width: int) -> int:
+    """The values, negative ones too, summed weighted by slot: linear, so a
+    combination of packed vectors reads back while its values fit a slot."""
+    return sum(x << 8 * width * i for i, x in enumerate(values))
+
+
+def read_slots(packed: int, count: int, width: int) -> Sequence[int]:
+    """The first `count` slots of a packed vector of values in 0..2^(8
+    width) - 1: one struct call at 1, 2, 4 or 8 bytes, else whole bytes."""
+    return _decode(packed.to_bytes(width * count, "little"), width, False)
+
+
+def read_signed_slots(packed: int, count: int, width: int) -> Sequence[int]:
+    """read_slots of values in -2^(8 width - 1)..2^(8 width - 1) - 1: adding
+    2^(8 width - 1) to every slot keeps each in range, so none borrows from
+    the next, and one XOR flips every top bit back to two's complement."""
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    return _decode(((packed + top) ^ top).to_bytes(width * count, "little"), width, True)
+
+
+def _decode(raw: bytes, width: int, signed: bool) -> Sequence[int]:
+    if width in _FORMATS:
+        return struct.unpack(f"<{len(raw) // width}{_FORMATS[width][signed]}", raw)
+    starts = range(0, len(raw), width)
+    return [int.from_bytes(raw[i : i + width], "little", signed=signed) for i in starts]
+
+
+def widen_slots(packed: int, count: int, width: int, wide: int) -> int:
+    """The same `count` slots, each widened from `width` to `wide` bytes:
+    byte b of every slot in one slice."""
+    raw = packed.to_bytes(width * count, "little")
+    out = bytearray(wide * count)
+    for b in range(width):
+        out[b::wide] = raw[b::width]
+    return int.from_bytes(out, "little")

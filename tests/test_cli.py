@@ -314,7 +314,18 @@ def test_format_listed_in_help(capsys):
         assert "--format {text,json}" in capsys.readouterr().out
 
 
-def test_selftest_detects_corrupted_scale_table(capsys, monkeypatch):
+@pytest.fixture
+def fresh_anchor_rows():
+    # the anchor rows keep the component scales of every order built: start
+    # from none, and leave none built from a corrupted scale to later tests
+    import graphflag.flagvectors as fv
+
+    fv._anchor_system.cache_clear()
+    yield
+    fv._anchor_system.cache_clear()
+
+
+def test_selftest_detects_corrupted_scale_table(capsys, monkeypatch, fresh_anchor_rows):
     # sabotage the per-part scale factor; the conversion criterion must fail
     import graphflag.flagvectors as fv
     from graphflag.selftest import run_criterion
@@ -327,6 +338,30 @@ def test_selftest_detects_corrupted_scale_table(capsys, monkeypatch):
     monkeypatch.setattr(fv, "component_scale", corrupted)
     result = run_criterion(11)
     assert not result.passed
+
+
+def test_selftest_detects_a_scale_corrupted_after_the_conversions_ran(
+    monkeypatch, fresh_anchor_rows
+):
+    # with the anchor rows of every order n <= 5 built from the true scales,
+    # the corrupted one must still be caught, by the forms that read
+    # component_scale itself; it divides the true one, so every division
+    # stays exact and the forms disagree rather than refuse
+    import graphflag.flagvectors as fv
+    from graphflag import ConciseVector, enumerate_partitions
+    from graphflag.selftest import run_criterion
+
+    for n in range(6):
+        for part in enumerate_partitions(n):
+            v = ConciseVector(n, {part: 1})
+            assert fv.concise_from_verbose(fv.verbose_from_concise(v)) == v
+    original = fv.component_scale
+    monkeypatch.setattr(
+        fv, "component_scale", lambda size: 1 if size == 2 else original(size)
+    )
+    result = run_criterion(11)
+    assert not result.passed
+    assert "scale mismatch" in result.detail or "subgraph mismatch" in result.detail
 
 
 @pytest.mark.parametrize(

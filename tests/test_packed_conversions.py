@@ -142,9 +142,9 @@ def test_each_slot_width_agrees_with_the_whole_graph_recursion(width):
 @contextlib.contextmanager
 def _at_least(wide):
     # every packed vector in slots at least `wide` bytes wide
-    real = flagvectors._slot_bytes
+    real = flagvectors.slot_bytes
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flagvectors, "_slot_bytes", lambda bound: max(real(bound), wide))
+        mp.setattr(flagvectors, "slot_bytes", lambda bound: max(real(bound), wide))
         yield
 
 

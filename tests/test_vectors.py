@@ -19,6 +19,7 @@ from graphflag import (
     verbose_flag_vector,
 )
 from graphflag.graphs import Graph, canonical_form, pair_order
+from graphflag.vectors import pack_slots, read_signed_slots, read_slots, slot_bytes, widen_slots
 
 
 def test_verbose_algebra_and_zero_pruning():
@@ -155,3 +156,37 @@ def test_formal_vectors_are_not_iterable(make):
     with pytest.raises(TypeError):
         RationalMatrix([v])
     assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def packed_rows(draw):
+    # a slot width and values spanning its signed range, both ends included
+    width = draw(st.sampled_from([1, 2, 3, 4, 8, 9, 16]))
+    half = 1 << 8 * width - 1
+    value = st.integers(-half, half - 1) | st.sampled_from([-half, -1, 0, half - 1])
+    return width, draw(st.lists(value, min_size=1, max_size=12))
+
+
+@given(packed_rows(), st.data())
+def test_packed_slot_codec_round_trips(row, data):
+    width, values = row
+    count = len(values)
+    assert list(read_signed_slots(pack_slots(values, width), count, width)) == values
+    # packing is linear: a combination reads back while its values fit
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+    mixed = [coeffs[0] * v + coeffs[1] for v in values]
+    half = 1 << 8 * width - 1
+    if all(-half <= v < half for v in mixed):
+        combo = coeffs[0] * pack_slots(values, width) + coeffs[1] * pack_slots([1] * count, width)
+        assert list(read_signed_slots(combo, count, width)) == mixed
+    unsigned = [v + half for v in values]
+    packed = pack_slots(unsigned, width)
+    assert list(read_slots(packed, count, width)) == unsigned
+    wide = data.draw(st.sampled_from([width, width + 1, 16, 17]))
+    assert list(read_slots(widen_slots(packed, count, width, wide), count, wide)) == unsigned
+
+
+def test_slot_bytes_picks_a_struct_size_up_to_eight_bytes():
+    assert [slot_bytes(2**k - 1) for k in (0, 8, 9, 16, 17, 24, 32, 33, 64, 65, 72, 80)] == [
+        1, 1, 2, 2, 4, 4, 4, 8, 8, 9, 9, 10
+    ]
