@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .errors import GraphParseError, SizeLimitError, check_size, read_number
@@ -209,18 +210,45 @@ def _cmd_rank(args):
 
 def _cmd_hull(args):
     report = hull_report(args.n, include_facets=args.mode == "facets")
+    flags = report.vertex_flags
     if args.mode == "vertices":
-        return report.to_text_lines(), report.to_json_dict()
-    lines = [
-        " ".join(str(x) for x in (offset, *coeffs))
-        for coeffs, offset in report.facets
-    ]
-    return lines, report.to_json_dict()
+        lines = [
+            f"{g.serialize()} {'vertex' if flags[g] else 'interior'}"
+            for g in report.points
+        ]
+    else:
+        lines = [
+            " ".join(str(x) for x in (offset, *coeffs))
+            for coeffs, offset in report.facets
+        ]
+    payload = {
+        "n": report.n,
+        "class_count": report.class_count,
+        "distinct_points": report.distinct_point_count,
+        "all_distinct": report.all_distinct,
+        "all_vertices": report.all_vertices,
+        "points": [
+            {
+                "graph": g.serialize(),
+                "vertex": flags[g],
+                "coefficients": _vector_json(vec),
+            }
+            for g, vec in report.points.items()
+        ],
+    }
+    if report.facets is not None:
+        payload["facets"] = [
+            {"coefficients": list(coeffs), "offset": offset}
+            for coeffs, offset in report.facets
+        ]
+    return lines, payload
 
 
 def _cmd_nullspace(args):
-    report = nullspace_report(args.n)
-    return report.to_text_lines(), report.to_json_dict()
+    payload = asdict(nullspace_report(args.n))
+    # ints as written, bools as JSON writes them
+    lines = [f"{key}: {json.dumps(value)}" for key, value in payload.items()]
+    return lines, payload
 
 
 def _cmd_average(args):

@@ -625,19 +625,23 @@ def edge_flag_vector(g: Graph) -> EdgeWordVector:
 
     Removing an edge whose endpoint multiplicities (with the edge still
     counted) are lo <= hi contributes the factor
-    a + (lo - 1) b + (hi - lo) c.
+    a + (lo - 1) b + (hi - lo) c.  By the first removed edge, the words of
+    an edge set are the sum over its edges of that edge's factor followed by
+    the words of the set without it; every subset is solved once, from the
+    empty set up.
     """
     edges = sorted(g.edges)
     check_size(len(edges), MAX_EDGE_FLAG_EDGES, "edge_flag_vector", "edges")
-    base_deg = [g.degree(v) for v in range(g.n)]
-    total: dict[str, int] = {}
-    for order in itertools.permutations(edges):
-        deg = list(base_deg)
-        factors = []
-        for u, w in order:
-            lo, hi = sorted((deg[u], deg[w]))
-            factors.append({"a": 1, "b": lo - 1, "c": hi - lo})
-            deg[u] -= 1
-            deg[w] -= 1
-        add_letter_product(total, 1, factors)
-    return EdgeWordVector._raw(len(edges), total)
+    words: list[dict[str, int]] = [{"": 1}]  # words[s]: the edge subset s
+    for subset in range(1, 1 << len(edges)):
+        present = [edges[i] for i in bit_indices(subset)]
+        out: dict[str, int] = {}
+        for i in bit_indices(subset):
+            lo, hi = sorted(sum(v in e for e in present) for v in edges[i])
+            rest = words[subset ^ 1 << i]
+            for letter, x in (("a", 1), ("b", lo - 1), ("c", hi - lo)):
+                if x:
+                    for w, c in rest.items():
+                        out[letter + w] = out.get(letter + w, 0) + x * c
+        words.append(out)
+    return EdgeWordVector._raw(len(edges), words[-1])

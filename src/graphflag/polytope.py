@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -86,38 +86,6 @@ class HullReport:
     @property
     def all_vertices(self) -> bool:
         return all(self.vertex_flags.values())
-
-    def to_text_lines(self) -> list[str]:
-        return [
-            f"{g.serialize()} {'vertex' if self.vertex_flags[g] else 'interior'}"
-            for g in self.points
-        ]
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "class_count": self.class_count,
-            "distinct_points": self.distinct_point_count,
-            "all_distinct": self.all_distinct,
-            "all_vertices": self.all_vertices,
-            "points": [
-                {
-                    "graph": g.serialize(),
-                    "vertex": self.vertex_flags[g],
-                    "coefficients": [
-                        {"partition": list(p.parts), "coefficient": c}
-                        for p, c in vec.items()
-                    ],
-                }
-                for g, vec in self.points.items()
-            ],
-        }
-        if self.facets is not None:
-            out["facets"] = [
-                {"coefficients": list(coeffs), "offset": offset}
-                for coeffs, offset in self.facets
-            ]
-        return out
 
 
 def _in_convex_hull(target: tuple, others: list[tuple]) -> bool:
@@ -458,15 +426,6 @@ class NullspaceReport:
     kernel_dim: int
     cycle_span_dim: int
     spans: bool
-
-    def to_text_lines(self) -> list[str]:
-        return [
-            f"{name}: {str(value).lower() if isinstance(value, bool) else value}"
-            for name, value in self.to_json_dict().items()
-        ]
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def nullspace_report(n: int) -> NullspaceReport:

@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .exactlin import RationalMatrix, kernel_basis
+from .exactlin import RationalMatrix, kernel_basis, rank
 from .flagvectors import (
     anchor_word,
     basis_graph,
@@ -307,23 +307,27 @@ def _criterion_10():
 
 def _criterion_11():
     # the concise and subgraph forms are derived from the verbose kernel, so
-    # every conversion is checked against the definitional subgraph sums
+    # every conversion is checked against the definitional subgraph sums; a
+    # refusal is reported for its class, and the next class is checked
     problems = []
     for n in range(6):
         for g in enumerate_graphs(n):
-            concise = _subgraph_sum(g, tree_shelling_number)
-            subgraph = _subgraph_sum(g, acyclic_shelling_number)
-            verbose = verbose_flag_vector(g)
-            if verbose_from_concise(concise) != verbose:
-                problems.append(f"expand mismatch on {g.serialize()}")
-            if concise_from_verbose(verbose) != concise:
-                problems.append(f"invert mismatch on {g.serialize()}")
-            if scale_subgraph_to_concise(subgraph) != concise:
-                problems.append(f"scale mismatch on {g.serialize()}")
-            if concise_flag_vector(g) != concise:
-                problems.append(f"concise mismatch on {g.serialize()}")
-            if subgraph_flag_vector(g) != subgraph:
-                problems.append(f"subgraph mismatch on {g.serialize()}")
+            try:
+                concise = _subgraph_sum(g, tree_shelling_number)
+                subgraph = _subgraph_sum(g, acyclic_shelling_number)
+                verbose = verbose_flag_vector(g)
+                if verbose_from_concise(concise) != verbose:
+                    problems.append(f"expand mismatch on {g.serialize()}")
+                if concise_from_verbose(verbose) != concise:
+                    problems.append(f"invert mismatch on {g.serialize()}")
+                if scale_subgraph_to_concise(subgraph) != concise:
+                    problems.append(f"scale mismatch on {g.serialize()}")
+                if concise_flag_vector(g) != concise:
+                    problems.append(f"concise mismatch on {g.serialize()}")
+                if subgraph_flag_vector(g) != subgraph:
+                    problems.append(f"subgraph mismatch on {g.serialize()}")
+            except ValueError as exc:
+                problems.append(f"refused on {g.serialize()}: {exc}")
     return not problems, "; ".join(problems) or "conversions close on all classes n <= 5"
 
 
@@ -376,20 +380,12 @@ def _criterion_13():
     relation = [expand(triangle).coefficient(g) for g in classes3]
     if len(kernel) != 1:
         problems.append(f"n=3 kernel basis size {len(kernel)}")
-    else:
-        vec = kernel[0]
-        scale = None
-        for a, b in zip(relation, vec):
-            if (a == 0) != (b == 0):
-                problems.append("optional triangle does not generate the kernel")
-                break
-            if a != 0:
-                r = b / a
-                if scale is None:
-                    scale = r
-                elif r != scale:
-                    problems.append("optional triangle does not generate the kernel")
-                    break
+    elif not (
+        any(kernel[0])
+        and any(relation)
+        and rank(RationalMatrix([kernel[0], relation])) == 1
+    ):
+        problems.append("optional triangle does not generate the kernel")
     if not report3.spans or report3.cycle_span_dim != 1:
         problems.append(f"n=3 cycle span {report3.cycle_span_dim} (spans={report3.spans})")
     report4 = nullspace_report(4)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -338,6 +339,9 @@ def test_selftest_detects_corrupted_scale_table(capsys, monkeypatch, fresh_ancho
     monkeypatch.setattr(fv, "component_scale", corrupted)
     result = run_criterion(11)
     assert not result.passed
+    # a refused class is reported, and the classes after it still checked
+    refused = set(re.findall(r"refused on (\d+:[01]*): ", result.detail))
+    assert len(refused) >= 2, result.detail
 
 
 def test_selftest_detects_a_scale_corrupted_after_the_conversions_ran(
@@ -362,6 +366,22 @@ def test_selftest_detects_a_scale_corrupted_after_the_conversions_ran(
     result = run_criterion(11)
     assert not result.passed
     assert "scale mismatch" in result.detail or "subgraph mismatch" in result.detail
+
+
+@pytest.mark.parametrize(
+    "vector,passed",
+    [((-2, 6, -6, 2), True), ((0, 0, 0, 0), False), ((1, 3, -3, 1), False)],
+)
+def test_selftest_checks_the_triangle_generates_the_kernel(monkeypatch, vector, passed):
+    # the n = 3 kernel is spanned by (1, -3, 3, -1) over the classes in
+    # enumeration order: a nonzero multiple passes, anything else fails
+    import graphflag.selftest as st
+
+    monkeypatch.setattr(st, "kernel_basis", lambda matrix: [list(vector)])
+    result = st.run_criterion(13)
+    assert result.passed is passed
+    failure = "optional triangle does not generate the kernel"
+    assert (failure in result.detail) is not passed
 
 
 @pytest.mark.parametrize(

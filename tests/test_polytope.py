@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -274,6 +275,58 @@ def test_facet_certificate_refuses_wrong_rays(monkeypatch, corrupt, message):
     monkeypatch.setattr(polytope, "_double_description", lambda cs: corrupt(dd(cs)))
     with pytest.raises(ArithmeticError, match=message):
         hull_facets([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def _extreme_rays_oracle(constraints):
+    # a ray of the pointed cone {x : c . x >= 0} is extreme iff the
+    # constraints tight on it have rank dim - 1: it spans the null space of
+    # dim - 1 independent constraints, in the sign that meets all of them
+    dim = len(constraints[0])
+    rays = set()
+    for rows in itertools.combinations(constraints, dim - 1):
+        if rank(RationalMatrix(rows)) != dim - 1:
+            continue
+        (ray,), _ = integer_rows(kernel_basis(RationalMatrix(rows)))
+        ray = tuple(x // math.gcd(*ray) for x in ray)
+        for r in (ray, tuple(-x for x in ray)):
+            if all(sum(map(math.prod, zip(c, r))) >= 0 for c in constraints):
+                rays.add(r)
+    return sorted(rays)
+
+
+@pytest.mark.parametrize(
+    "constraints, rays",
+    [
+        # the second constraint's lineality value is -1, so its ray is flipped
+        ([(1, 0), (0, -1)], [(0, -1), (1, 0)]),
+        (
+            [(1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1)],
+            [(1, -1, 0), (1, 0, -1), (1, 0, 0)],
+        ),
+    ],
+)
+def test_double_description_flips_a_negative_lineality_value(constraints, rays):
+    assert sorted(polytope._double_description(constraints)) == rays
+    assert _extreme_rays_oracle(constraints) == rays
+
+
+def test_double_description_matches_the_ray_oracle_in_any_constraint_order():
+    # every constraint is positive at a random interior point x0, and the
+    # constraints have full rank, so the cone is pointed and full-dimensional
+    rng = random.Random(30)
+    for _ in range(150):
+        dim = rng.randint(2, 4)
+        x0 = [rng.randint(-2, 2) or 1 for _ in range(dim)]
+        count = rng.randint(dim, dim + 4)
+        constraints = []
+        while len(constraints) < count or rank(RationalMatrix(constraints)) < dim:
+            c = tuple(rng.randint(-3, 3) for _ in range(dim))
+            value = sum(map(math.prod, zip(c, x0)))
+            if value:
+                constraints.append(c if value > 0 else tuple(-x for x in c))
+        rng.shuffle(constraints)
+        rays = polytope._double_description(constraints)
+        assert sorted(rays) == _extreme_rays_oracle(constraints), constraints
 
 
 BIG = 10**20
