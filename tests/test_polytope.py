@@ -296,8 +296,9 @@ def _extreme_rays_oracle(constraints):
 
 @pytest.mark.parametrize(
     "constraints, rays",
+    # in both, the second constraint is -1 on the lineality vector it takes,
+    # so that vector is flipped before it becomes a ray
     [
-        # the second constraint's lineality value is -1, so its ray is flipped
         ([(1, 0), (0, -1)], [(0, -1), (1, 0)]),
         (
             [(1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1)],
